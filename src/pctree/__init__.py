@@ -45,7 +45,6 @@ from .serialize import (
 )
 from .transforms import (
     FrontierSet,
-    GateKey,
     PipelineReport,
     StageMetrics,
     binarize,
@@ -66,7 +65,7 @@ __all__ = [
     "pairing_polynomial", "poly_equal", "random_equivalence",
     "GenParams", "HardInstanceLayout", "build_hard_instance",
     "hard_instance_layout", "random_valid_pc", "strip_negations",
-    "GateKey", "FrontierSet", "PipelineReport", "StageMetrics",
+    "FrontierSet", "PipelineReport", "StageMetrics",
     "binarize", "normalize", "partial_derivative", "degree_frontier",
     "reduce_depth", "duplicate_to_tree", "treeify",
     "circuit_to_document", "circuit_from_document", "read_circuit",

@@ -9,9 +9,11 @@ Evaluating at 0/1 slots gives probabilities, at all-ones marginalizes a
 variable out, and at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
-bottom-up pass over the stored topological order and is cached on the
-instance; transforms elsewhere in the package always build fresh
-circuits, so instances are safe to share across threads.
+pass over the stored topological order; the per-node tables (scopes,
+degrees, descendant and ancestor masks) are cached on the instance, while
+:meth:`Circuit.validity` and :meth:`Circuit.stats` recompute on every
+call.  Transforms elsewhere in the package always build fresh circuits,
+so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ from .errors import (
 REL_TOL = 1e-9
 
 
+def slot(var: int, negated: bool = False) -> int:
+    """Indicator slot index of ``x_var`` or ``~x_var``."""
+    return 2 * var + (1 if negated else 0)
+
+
 @dataclass(frozen=True)
 class Leaf:
     """Indicator leaf: variable ``var``, negated when ``negated`` is true."""
@@ -42,9 +49,9 @@ class Leaf:
     var: int
     negated: bool = False
 
-    @property
+    @cached_property
     def slot(self) -> int:
-        return 2 * self.var + (1 if self.negated else 0)
+        return slot(self.var, self.negated)
 
 
 @dataclass(frozen=True)
@@ -371,17 +378,44 @@ def build_circuit(num_vars: int, nodes: Iterable[Node], root: int) -> Circuit:
     """Construct a circuit and enforce the full node invariants.
 
     Beyond the structural checks done by :class:`Circuit` itself, this
-    rejects sum nodes with a negative weight or an all-zero weight
-    vector.  All circuits produced by this package go through here.
+    rejects sum nodes with a negative or non-finite (NaN, infinite)
+    weight or an all-zero weight vector.  All circuits produced by this
+    package go through here.
     """
     nodes = tuple(nodes)
     for v, node in enumerate(nodes):
         if isinstance(node, Sum) and node.children:
-            if any(w < 0 for w in node.weights):
-                raise BadWeights(f"sum {v}: negative weight")
+            if not all(0.0 <= w < math.inf for w in node.weights):
+                raise BadWeights(f"sum {v}: negative or non-finite weight")
             if all(w == 0 for w in node.weights):
                 raise BadWeights(f"sum {v}: all weights zero")
     return Circuit(num_vars, nodes, root)
+
+
+def _renumber(nodes: Sequence[Node], keep: Sequence[bool]) -> tuple[list[Node], dict[int, int]]:
+    """Node table of the flagged nodes, in id order, with children renumbered.
+
+    Edges into nodes that are not kept are dropped together with their
+    sum weights.  Returns the new table and the new id of every kept old
+    id.  Raises :class:`EmptyProductNode` naming the old id of any node
+    left without children.
+    """
+    remap: dict[int, int] = {}
+    for v, flag in enumerate(keep):
+        if flag:
+            remap[v] = len(remap)
+    out: list[Node] = []
+    for v in remap:
+        node = nodes[v]
+        if isinstance(node, Sum):
+            pairs = [(remap[ch], w) for ch, w in zip(node.children, node.weights) if ch in remap]
+            node = Sum(tuple(ch for ch, _ in pairs), tuple(w for _, w in pairs))
+        elif isinstance(node, Product):
+            node = Product(tuple(remap[ch] for ch in node.children if ch in remap))
+        if not isinstance(node, Leaf) and not node.children:
+            raise EmptyProductNode(f"{type(node).__name__.lower()} {v} would lose all children")
+        out.append(node)
+    return out, remap
 
 
 def boolean_assignment(values: Sequence[int]) -> list[float]:

@@ -94,17 +94,17 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    s = read_circuit(args.in_path).stats()
+    c = read_circuit(args.in_path)
     if args.csv:
-        print("stage,nodes,edges,depth")
-        print(f"circuit,{s.num_nodes},{s.num_edges},{s.depth}")
-    else:
-        print(f"nodes={s.num_nodes}")
-        print(f"edges={s.num_edges}")
-        print(f"depth={s.depth}")
-        print(f"max_fanout={s.max_fanout}")
-        print(f"is_tree={_bool_text(s.is_tree)}")
-        print(f"degree_of_root={s.degree_of_root}")
+        print(transforms.PipelineReport((transforms.stage_metrics("circuit", c),)).to_csv(), end="")
+        return 0
+    s = c.stats()
+    print(f"nodes={s.num_nodes}")
+    print(f"edges={s.num_edges}")
+    print(f"depth={s.depth}")
+    print(f"max_fanout={s.max_fanout}")
+    print(f"is_tree={_bool_text(s.is_tree)}")
+    print(f"degree_of_root={s.degree_of_root}")
     return 0
 
 

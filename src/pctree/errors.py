@@ -25,7 +25,7 @@ class DanglingChild(PCError):
 
 
 class BadWeights(PCError):
-    """Sum weights are malformed: wrong arity, all zero, or negative."""
+    """Sum weights are malformed: wrong arity, all zero, negative or non-finite."""
 
 
 class EmptyProductNode(PCError):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, build_circuit
+from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, _renumber, build_circuit
 from .errors import EmptyProductNode, KTooLarge
 
 
@@ -111,34 +111,13 @@ def strip_negations(c: Circuit) -> Circuit:
     of its children (the hard instances never do: no sum node has a
     negation leaf child and every product keeps its structural children).
     """
-    drop = {v for v, node in enumerate(c.nodes)
-            if isinstance(node, Leaf) and node.negated}
-    if not drop:
+    keep = [not (isinstance(node, Leaf) and node.negated) for node in c.nodes]
+    if all(keep):
         return c
-    if c.root in drop:
+    if not keep[c.root]:
         raise EmptyProductNode("root is a negation leaf; nothing would remain")
-    remap: dict[int, int] = {}
-    kept: list[tuple[int, Node]] = []
-    for v, node in enumerate(c.nodes):
-        if v not in drop:
-            remap[v] = len(kept)
-            kept.append((v, node))
-    out: list[Node] = []
-    for v, node in kept:
-        if isinstance(node, Leaf):
-            out.append(node)
-        elif isinstance(node, Sum):
-            pairs = [(remap[ch], w) for ch, w in zip(node.children, node.weights)
-                     if ch not in drop]
-            if not pairs:
-                raise EmptyProductNode(f"sum {v} would lose all children")
-            out.append(Sum(tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)))
-        else:
-            kids = tuple(remap[ch] for ch in node.children if ch not in drop)
-            if not kids:
-                raise EmptyProductNode(f"product {v} would lose all children")
-            out.append(Product(kids))
-    return build_circuit(c.num_vars, out, remap[c.root])
+    nodes, remap = _renumber(c.nodes, keep)
+    return build_circuit(c.num_vars, nodes, remap[c.root])
 
 
 @dataclass(frozen=True)

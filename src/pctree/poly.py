@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .circuit import Circuit, Leaf, Sum, _bits
+from .circuit import Circuit, Leaf, Sum, _bits, slot
 from .errors import (
     KTooLarge,
     NotMultilinear,
@@ -36,11 +36,6 @@ def term_budget(override: int | None = None) -> int:
     if override is not None:
         return override
     return int(os.environ.get("PC_TERM_BUDGET", DEFAULT_TERM_BUDGET))
-
-
-def slot(var: int, negated: bool = False) -> int:
-    """Indicator slot index of ``x_var`` or ``~x_var``."""
-    return 2 * var + (1 if negated else 0)
 
 
 class SparsePolynomial:
@@ -249,21 +244,28 @@ def pairing_polynomial(k: int) -> SparsePolynomial:
 def node_polynomials(c: Circuit, budget: int | None = None) -> list[SparsePolynomial]:
     """Exact polynomial of every node, in id order (same budget rules as
     :func:`extract_polynomial`)."""
-    cap = term_budget(budget)
     polys: list[SparsePolynomial | None] = [None] * len(c.nodes)
-    for v in c.topo_order:
+    _expand(c, c.topo_order, polys, term_budget(budget))
+    return polys  # type: ignore[return-value]
+
+
+def _expand(c: Circuit, order: Iterable[int],
+            memo: list[SparsePolynomial | None] | dict[int, SparsePolynomial], cap: int) -> None:
+    """Store in ``memo`` (a list or dict indexed by node id) the polynomial
+    of every node in ``order``, which lists children before parents; every
+    child outside ``order`` must already be in ``memo``."""
+    for v in order:
         node = c.nodes[v]
         if isinstance(node, Leaf):
             p = SparsePolynomial.indicator(c.num_vars, node.var, node.negated)
         elif isinstance(node, Sum):
             p = SparsePolynomial.zero(c.num_vars)
             for ch, w in zip(node.children, node.weights):
-                p = p.add(polys[ch], w)
+                p = p.add(memo[ch], w)
         else:
             p = SparsePolynomial.constant(c.num_vars, 1.0)
             for ch in node.children:
-                p = p.mul(polys[ch], max_terms=cap)
+                p = p.mul(memo[ch], max_terms=cap)
         if len(p.terms) > cap:
             raise TermBudgetExceeded(f"node {v} expands past {cap} monomials")
-        polys[v] = p
-    return polys  # type: ignore[return-value]
+        memo[v] = p

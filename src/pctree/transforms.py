@@ -25,8 +25,9 @@ materialized: they fold into the edge weights of the sums that use them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _bits
+from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, _renumber
 from .errors import (
     DanglingChild,
     InvalidInput,
@@ -34,29 +35,13 @@ from .errors import (
     NotBinary,
     NotHomogeneous,
     SizeBudgetExceeded,
-    TermBudgetExceeded,
     ZeroWeightSum,
 )
-from .poly import SparsePolynomial, term_budget
+from .poly import SparsePolynomial, _expand, term_budget
 
 #: Default node budget for tree expansion; the worst case is exponential
 #: in the depth of the input, so expansion is always pre-counted.
 DEFAULT_TREE_BUDGET = 10 ** 7
-
-
-@dataclass(frozen=True)
-class GateKey:
-    """Identity of a rebuilt gate: the value of source node ``node`` when
-    ``wrt`` is None, otherwise the partial derivative of ``node``'s
-    polynomial with respect to descendant ``wrt``."""
-
-    node: int
-    wrt: int | None = None
-
-    def __repr__(self) -> str:
-        if self.wrt is None:
-            return f"value({self.node})"
-        return f"derivative({self.node}, {self.wrt})"
 
 
 @dataclass(frozen=True)
@@ -195,21 +180,7 @@ class _LazyPolys:
         c = self.c
         pending = [u for u in _bits(c.descendant_masks[s]) if u not in memo]
         pending.sort(key=c.topo_positions.__getitem__)
-        for u in pending:
-            node = c.nodes[u]
-            if isinstance(node, Leaf):
-                p = SparsePolynomial.indicator(c.num_vars, node.var, node.negated)
-            elif isinstance(node, Sum):
-                p = SparsePolynomial.zero(c.num_vars)
-                for ch, w in zip(node.children, node.weights):
-                    p = p.add(memo[ch], w)
-            else:
-                p = SparsePolynomial.constant(c.num_vars, 1.0)
-                for ch in node.children:
-                    p = p.mul(memo[ch], max_terms=self.cap)
-            if len(p.terms) > self.cap:
-                raise TermBudgetExceeded(f"node {u} expands past {self.cap} monomials")
-            memo[u] = p
+        _expand(c, pending, memo, self.cap)
         return memo[s]
 
 
@@ -280,6 +251,18 @@ def partial_derivative(c: Circuit, v: int, w: int,
 # degree frontier
 # ---------------------------------------------------------------------------
 
+def _binary_products(c: Circuit) -> list[tuple[int, int, int]]:
+    """``(t, a, b)`` for every product ``t`` with exactly the children ``a, b``."""
+    return [(t, node.children[0], node.children[1]) for t, node in enumerate(c.nodes)
+            if isinstance(node, Product) and len(node.children) == 2]
+
+
+def _straddling(products: list[tuple[int, int, int]], deg: tuple[int, ...],
+                m: int) -> list[tuple[int, int, int]]:
+    """The products whose own degree exceeds ``m`` while neither child's does."""
+    return [(t, a, b) for t, a, b in products if deg[t] > m and deg[a] <= m and deg[b] <= m]
+
+
 def degree_frontier(c: Circuit, m: int) -> FrontierSet:
     """All products straddling degree threshold ``m``: their own degree
     exceeds ``m`` while neither child's does."""
@@ -287,12 +270,8 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
         raise ValueError("threshold m must be >= 1")
     if not c.is_binary():
         raise NotBinary("the degree frontier is defined for binary circuits")
-    deg = c.degrees
-    members = frozenset(
-        v for v, node in enumerate(c.nodes)
-        if isinstance(node, Product) and len(node.children) == 2
-        and deg[v] > m and max(deg[ch] for ch in node.children) <= m)
-    return FrontierSet(m, members)
+    members = _straddling(_binary_products(c), c.degrees, m)
+    return FrontierSet(m, frozenset(t for t, _, _ in members))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +316,14 @@ class _Arena:
         return self.sum_(pairs)
 
 
-def _resolve(gates: dict[GateKey, int | float],
-             keys: tuple[GateKey, ...]) -> tuple[list[int], float] | None:
+#: A rebuilt gate is keyed ``(node, None)`` for the value of source node
+#: ``node`` and ``(node, wrt)`` for the partial derivative of its polynomial
+#: with respect to descendant ``wrt``.
+_GateTable = dict[tuple[int, int | None], int | float]
+
+
+def _resolve(gates: _GateTable,
+             keys: tuple[tuple[int, int | None], ...]) -> tuple[list[int], float] | None:
     """Split gate references into node children and a folded constant
     weight; None when any factor is the constant zero."""
     weight = 1.0
@@ -346,7 +331,7 @@ def _resolve(gates: dict[GateKey, int | float],
     for key in keys:
         got = gates.get(key)
         if got is None:
-            raise MissingGate(f"{key} was not built by an earlier band")
+            raise MissingGate(f"gate (node, wrt) = {key} was not built by an earlier band")
         if isinstance(got, float):
             if got == 0.0:
                 return None
@@ -386,33 +371,16 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     n_nodes = len(circuit.nodes)
     cap = term_budget(None)
     arena = _Arena()
-    gates: dict[GateKey, int | float] = {}
+    gates: _GateTable = {}
     polys = _LazyPolys(circuit, cap)
 
     # pre-pass values: indicator leaves, then every degree-one node as a
-    # sum over the two indicators of its single variable
-    lin: dict[int, tuple[float, float, int]] = {}
+    # sum over the indicators of its single variable
     for v in circuit.topo_order:
-        if deg[v] != 1:
-            continue
-        node = circuit.nodes[v]
-        if isinstance(node, Leaf):
-            lin[v] = (0.0, 1.0, node.var) if node.negated else (1.0, 0.0, node.var)
-            gates[GateKey(v)] = arena.leaf(node.var, node.negated)
-            continue
-        if isinstance(node, Sum):
-            pos = neg = 0.0
-            var = lin[node.children[0]][2]
-            for ch, wt in zip(node.children, node.weights):
-                pos += wt * lin[ch][0]
-                neg += wt * lin[ch][1]
-        else:  # a degree-one product is a single-child wire
-            pos, neg, var = lin[node.children[0]]
-        lin[v] = (pos, neg, var)
-        pairs = [(arena.leaf(var, False), pos)] if pos else []
-        if neg:
-            pairs.append((arena.leaf(var, True), neg))
-        gates[GateKey(v)] = arena.sum_(pairs) if pairs else 0.0
+        if deg[v] == 1:
+            node = circuit.nodes[v]
+            gates[v, None] = (arena.leaf(node.var, node.negated) if isinstance(node, Leaf)
+                              else arena.affine_gate(polys.get(v)))
 
     # pre-pass derivative gates: all pairs at degree gap <= 1 (gap zero
     # folds to a constant, gap one is affine over a single variable)
@@ -422,21 +390,14 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         for u in sorted(shallow):
             if deg[u] >= 2 * dw:
                 continue
-            gates[GateKey(u, w)] = 1.0 if u == w else arena.affine_gate(shallow[u])
+            gates[u, w] = 1.0 if u == w else arena.affine_gate(shallow[u])
 
     # frontier candidates, filtered per threshold on demand
-    binary_products = [(t, node.children[0], node.children[1])
-                       for t, node in enumerate(circuit.nodes)
-                       if isinstance(node, Product) and len(node.children) == 2]
-    frontier_cache: dict[int, list[tuple[int, int, int]]] = {}
+    binary_products = _binary_products(circuit)
 
+    @cache
     def frontier(m: int) -> list[tuple[int, int, int]]:
-        got = frontier_cache.get(m)
-        if got is None:
-            got = [(t, a, b) for t, a, b in binary_products
-                   if deg[t] > m and deg[a] <= m and deg[b] <= m]
-            frontier_cache[m] = got
-        return got
+        return _straddling(binary_products, deg, m)
 
     d_root = deg[circuit.root]
     num_bands = (d_root - 1).bit_length() if d_root > 1 else 0
@@ -454,14 +415,14 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 if not v_mask >> t & 1:
                     continue
                 below = True
-                folded = _resolve(gates, (GateKey(a), GateKey(b), GateKey(v, t)))
+                folded = _resolve(gates, ((a, None), (b, None), (v, t)))
                 if folded is None:
                     continue
                 kids, weight = folded
                 summands.append((arena.product(kids), weight))
             if not below:
                 raise MissingGate(f"no frontier product below node {v} at threshold {lo}")
-            gates[GateKey(v)] = arena.sum_(summands) if summands else 0.0
+            gates[v, None] = arena.sum_(summands) if summands else 0.0
         # band derivative pairs
         for u in range(n_nodes):
             du = deg[u]
@@ -480,16 +441,16 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                     t1, t2 = _order_product_children(a, b, w, deg, desc)
                     if t1 != w and not desc[t1] >> w & 1:
                         continue  # derivative cannot flow through t1: zero summand
-                    folded = _resolve(gates, (GateKey(t2), GateKey(t1, w), GateKey(u, t)))
+                    folded = _resolve(gates, ((t2, None), (t1, w), (u, t)))
                     if folded is None:
                         continue
                     kids, weight = folded
                     summands.append((arena.product(kids), weight))
                 if not below:
                     raise MissingGate(f"no frontier product below node {u} at threshold {m2}")
-                gates[GateKey(u, w)] = arena.sum_(summands) if summands else 0.0
+                gates[u, w] = arena.sum_(summands) if summands else 0.0
 
-    root_gate = gates.get(GateKey(circuit.root))
+    root_gate = gates.get((circuit.root, None))
     if root_gate is None:
         raise MissingGate("value gate of the root was never built")
     if isinstance(root_gate, float):
@@ -510,22 +471,8 @@ def _compact(arena: _Arena, num_vars: int, root_id: int) -> Circuit:
             if not keep[ch]:
                 keep[ch] = 1
                 stack.append(ch)
-    remap: dict[int, int] = {}
-    out: list[Node] = []
-    for v, flag in enumerate(keep):
-        if not flag:
-            continue
-        remap[v] = len(out)
-        out.append(arena.nodes[v])
-    rebuilt: list[Node] = []
-    for node in out:
-        if isinstance(node, Leaf):
-            rebuilt.append(node)
-        elif isinstance(node, Sum):
-            rebuilt.append(Sum(tuple(remap[ch] for ch in node.children), node.weights))
-        else:
-            rebuilt.append(Product(tuple(remap[ch] for ch in node.children)))
-    return Circuit(num_vars, rebuilt, remap[root_id])
+    nodes, remap = _renumber(arena.nodes, keep)
+    return Circuit(num_vars, nodes, remap[root_id])
 
 
 # ---------------------------------------------------------------------------

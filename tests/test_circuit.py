@@ -53,8 +53,9 @@ def test_dangling_child_rejected():
 def test_bad_weights_rejected():
     with pytest.raises(BadWeights):
         build_circuit(1, [Leaf(0), Sum((0,), (1.0, 2.0))], 1)  # arity mismatch
-    with pytest.raises(BadWeights):
-        build_circuit(1, [Leaf(0), Sum((0,), (-1.0,))], 1)
+    for bad in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(BadWeights, match="sum 1"):
+            build_circuit(1, [Leaf(0), Sum((0,), (bad,))], 1)
     with pytest.raises(BadWeights):
         build_circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.0, 0.0))], 2)
     with pytest.raises(EmptyProductNode):

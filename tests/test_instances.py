@@ -98,8 +98,12 @@ def test_strip_negations_without_negations_is_identity():
 
 def test_strip_negations_rejects_emptied_nodes():
     all_neg = build_circuit(2, [Leaf(0, True), Leaf(1, True), Product((0, 1))], 2)
-    with pytest.raises(EmptyProductNode):
+    with pytest.raises(EmptyProductNode, match="product 2 "):
         pt.strip_negations(all_neg)
+    mixed = build_circuit(1, [Leaf(0, True), Leaf(0), Sum((0, 1), (0.25, 0.75))], 2)
+    stripped = pt.strip_negations(mixed)
+    assert stripped.nodes == (Leaf(0), Sum((0,), (0.75,)))
+    assert stripped.root == 1
     lone = build_circuit(1, [Leaf(0, True)], 0)
     with pytest.raises(EmptyProductNode):
         pt.strip_negations(lone)

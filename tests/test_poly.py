@@ -93,6 +93,10 @@ def test_term_budget():
     with pytest.raises(TermBudgetExceeded):
         pt.extract_polynomial(hard, budget=3)
     assert len(pt.extract_polynomial(hard, budget=8).terms) == 8
+    # the lazy co-factor expansion inside partial_derivative honours it too
+    b = pt.binarize(hard)
+    with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
+        pt.partial_derivative(b, b.root, 0, budget=1)
 
 
 def test_term_budget_env_override(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 import pctree as pt
 from pctree import build_circuit
 from pctree.circuit import Leaf, Product, Sum
-from pctree.errors import CycleDetected, ParseError, SchemaError
+from pctree.errors import BadWeights, CycleDetected, ParseError, SchemaError
 from pctree.serialize import (
     circuit_from_document,
     circuit_to_document,
@@ -113,6 +113,13 @@ def test_structural_errors_propagate():
     ]}
     with pytest.raises(CycleDetected):
         circuit_from_document(doc)
+    # json.loads accepts these non-standard tokens as float nan / inf
+    for token in ("NaN", "Infinity", "-Infinity"):
+        text = ('{"version": 1, "num_vars": 1, "root": 1, "nodes": ['
+                '{"id": 0, "kind": "leaf", "var": 0}, '
+                f'{{"id": 1, "kind": "sum", "children": [0], "weights": [{token}]}}]}}')
+        with pytest.raises(BadWeights, match="sum 1"):
+            circuit_from_document(json.loads(text))
 
 
 def test_parse_error(tmp_path):
