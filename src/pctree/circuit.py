@@ -311,8 +311,8 @@ class Circuit:
 
         Homogeneity is decided structurally (all sum children share one
         structural degree, everywhere), which is exact for decomposable
-        circuits; monotonicity by the syntactic condition that no sum
-        weight is negative.
+        circuits; monotonicity by the syntactic condition that every sum
+        weight is non-negative (NaN is not).
         """
         flags = {"decomposable": True, "smooth": True, "homogeneous": True,
                  "normalized": True, "monotone": True}
@@ -329,8 +329,8 @@ class Circuit:
             node = self.nodes[v]
             if isinstance(node, Sum):
                 total = sum(node.weights)
-                if any(w < 0 for w in node.weights):
-                    fail("monotone", v, "negative edge weight")
+                if any(not (w >= 0) for w in node.weights):
+                    fail("monotone", v, "negative or NaN edge weight")
                 if not math.isclose(total, 1.0, rel_tol=REL_TOL):
                     fail("normalized", v, f"outgoing weights total {total!r}")
                 first = node.children[0]

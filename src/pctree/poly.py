@@ -61,6 +61,15 @@ class SparsePolynomial:
     def indicator(cls, num_vars: int, var: int, negated: bool = False) -> "SparsePolynomial":
         return cls(num_vars, {1 << slot(var, negated): 1.0})
 
+    @classmethod
+    def _of(cls, num_vars: int, terms: dict[int, float]) -> "SparsePolynomial":
+        """Adopt ``terms`` as is: the caller guarantees float coefficients
+        and no zeros."""
+        p = cls.__new__(cls)
+        p.num_vars = num_vars
+        p.terms = terms
+        return p
+
     # -- structure ------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -114,7 +123,7 @@ class SparsePolynomial:
                 out.pop(m, None)
             else:
                 out[m] = acc
-        return SparsePolynomial(self.num_vars, out)
+        return SparsePolynomial._of(self.num_vars, out)
 
     def scaled(self, factor: float) -> "SparsePolynomial":
         return SparsePolynomial(self.num_vars, {m: factor * c for m, c in self.terms.items()})
@@ -134,7 +143,7 @@ class SparsePolynomial:
                     out[m] = acc
             if max_terms is not None and len(out) > max_terms:
                 raise TermBudgetExceeded(f"product exceeds {max_terms} monomials")
-        return SparsePolynomial(self.num_vars, out)
+        return SparsePolynomial._of(self.num_vars, out)
 
     __add__ = add
     __mul__ = mul

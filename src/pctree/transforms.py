@@ -20,6 +20,18 @@ gate built by an earlier band (or, for ``f(t2)``, earlier in the same
 band), so each band adds two levels and the result has depth
 logarithmic in the root degree.  Constant-valued gates are never
 materialized: they fold into the edge weights of the sums that use them.
+
+Candidates are enumerated from node-id bitmasks rather than by scanning
+and discarding.  ``deg_le[d]`` holds the nodes of degree at most ``d``,
+so a degree window ``(a, b]`` is ``deg_le[b] & ~deg_le[a]``.  The band's
+values are the nodes in ``(2**i, 2**(i+1)]``; the frontier at each
+threshold is a mask too, and the pivots below a node are that mask
+ANDed with the node's descendant mask.  For a derivative pair the
+conditions ``2**i < deg(u) - deg(w) <= 2**(i+1)`` and
+``deg(u) < 2 deg(w)`` put ``deg(w)`` in one window per ``deg(u)``, which
+ANDed with ``u``'s descendant mask yields exactly the admissible ``w``.
+Every loop walks set bits in ascending id order, so gates are built in a
+fixed order and the output is deterministic.
 """
 
 from __future__ import annotations
@@ -184,27 +196,22 @@ class _LazyPolys:
         return memo[s]
 
 
-def _ancestor_derivatives(c: Circuit, w: int, cap: int, gap_limit: int | None = None,
-                          within: int | None = None,
+def _ancestor_derivatives(c: Circuit, w: int, cap: int, within: int | None = None,
                           polys: _LazyPolys | None = None) -> dict[int, SparsePolynomial]:
     """Partial derivatives ``d_w f(u)`` for ancestors ``u`` of ``w``.
 
     Substitutes an atom for ``w``'s polynomial and propagates the atom's
     linear coefficient upward; the co-factor (the untouched sibling
     polynomial) is expanded lazily, so the cost scales with the size of
-    the derivatives rather than of the full polynomials.  ``gap_limit``
-    restricts the result to ancestors whose degree exceeds ``deg(w)`` by
-    at most that much; ``within`` restricts to a node-id bitmask.
+    the derivatives rather than of the full polynomials.  ``within``
+    restricts the result to a node-id bitmask.
     """
-    deg = c.degrees
-    desc = c.descendant_masks
-    dw = deg[w]
     polys = polys or _LazyPolys(c, cap)
     alpha: dict[int, SparsePolynomial] = {w: SparsePolynomial.constant(c.num_vars, 1.0)}
     candidates = _bits(c.ancestor_masks[w] if within is None else c.ancestor_masks[w] & within)
     candidates.sort(key=c.topo_positions.__getitem__)
     for u in candidates:
-        if u == w or (gap_limit is not None and deg[u] - dw > gap_limit):
+        if u == w:
             continue
         node = c.nodes[u]
         if isinstance(node, Sum):
@@ -353,10 +360,11 @@ def _order_product_children(a: int, b: int, w: int, deg, desc) -> tuple[int, int
     return (a, b) if a < b else (b, a)
 
 
-def reduce_depth(circuit: Circuit) -> Circuit:
+def reduce_depth(circuit: Circuit, budget: int | None = None) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction)."""
+    band construction).  ``budget`` caps the monomials of every exact
+    expansion, as in :func:`partial_derivative`."""
     if not circuit.is_binary():
         raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
@@ -369,10 +377,23 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     deg = circuit.degrees
     desc = circuit.descendant_masks
     n_nodes = len(circuit.nodes)
-    cap = term_budget(None)
+    cap = term_budget(budget)
     arena = _Arena()
     gates: _GateTable = {}
     polys = _LazyPolys(circuit, cap)
+
+    # deg_le[d]: bitmask of the nodes of degree <= d
+    max_deg = max(deg)
+    deg_le = [0] * (max_deg + 1)
+    for v, d in enumerate(deg):
+        deg_le[d] |= 1 << v
+    for d in range(1, max_deg + 1):
+        deg_le[d] |= deg_le[d - 1]
+
+    def window(a: int, b: int) -> int:
+        """Bitmask of the nodes with degree in ``(a, b]``."""
+        b = min(b, max_deg)
+        return deg_le[b] & ~deg_le[a] if b > a else 0
 
     # pre-pass values: indicator leaves, then every degree-one node as a
     # sum over the indicators of its single variable
@@ -383,21 +404,28 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                               else arena.affine_gate(polys.get(v)))
 
     # pre-pass derivative gates: all pairs at degree gap <= 1 (gap zero
-    # folds to a constant, gap one is affine over a single variable)
+    # folds to a constant, gap one is affine over a single variable);
+    # ancestors never have a lower degree, so the nodes of degree <= dw + 1
+    # are exactly the ancestors at gap zero or one
     for w in range(n_nodes):
         dw = deg[w]
-        shallow = _ancestor_derivatives(circuit, w, cap, gap_limit=1, polys=polys)
+        shallow = _ancestor_derivatives(circuit, w, cap, within=deg_le[min(dw + 1, max_deg)],
+                                        polys=polys)
         for u in sorted(shallow):
             if deg[u] >= 2 * dw:
                 continue
             gates[u, w] = 1.0 if u == w else arena.affine_gate(shallow[u])
 
-    # frontier candidates, filtered per threshold on demand
+    # frontier masks per threshold on demand, children per product
     binary_products = _binary_products(circuit)
+    product_children = {t: (a, b) for t, a, b in binary_products}
 
     @cache
-    def frontier(m: int) -> list[tuple[int, int, int]]:
-        return _straddling(binary_products, deg, m)
+    def frontier(m: int) -> int:
+        mask = 0
+        for t, _, _ in _straddling(binary_products, deg, m):
+            mask |= 1 << t
+        return mask
 
     d_root = deg[circuit.root]
     num_bands = (d_root - 1).bit_length() if d_root > 1 else 0
@@ -405,39 +433,40 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         lo, hi = 1 << i, 2 << i
         # band values
         front = frontier(lo)
-        for v in range(n_nodes):
-            if not lo < deg[v] <= hi:
-                continue
-            v_mask = desc[v]
+        for v in _bits(window(lo, hi)):
+            below = _bits(front & desc[v])
+            if not below:
+                raise MissingGate(f"no frontier product below node {v} at threshold {lo}")
             summands = []
-            below = False
-            for t, a, b in front:
-                if not v_mask >> t & 1:
-                    continue
-                below = True
+            for t in below:
+                a, b = product_children[t]
                 folded = _resolve(gates, ((a, None), (b, None), (v, t)))
                 if folded is None:
                     continue
                 kids, weight = folded
                 summands.append((arena.product(kids), weight))
-            if not below:
-                raise MissingGate(f"no frontier product below node {v} at threshold {lo}")
             gates[v, None] = arena.sum_(summands) if summands else 0.0
-        # band derivative pairs
+        # band derivative pairs: w below u with lo < deg(u) - deg(w) <= hi
+        # and deg(u) < 2 deg(w), i.e. deg(w) in (max(du - hi - 1, du // 2), du - lo - 1]
+        pair_windows = [window(max(du - hi - 1, du // 2), du - lo - 1)
+                        for du in range(max_deg + 1)]
         for u in range(n_nodes):
             du = deg[u]
             u_mask = desc[u]
-            for w in _bits(u_mask):
+            candidates = pair_windows[du] & u_mask
+            if not candidates:
+                continue
+            for w in _bits(candidates):
                 gap = du - deg[w]
                 if not lo < gap <= hi or du >= 2 * deg[w]:
                     continue
                 m2 = lo + deg[w]
+                below = _bits(frontier(m2) & u_mask)
+                if not below:
+                    raise MissingGate(f"no frontier product below node {u} at threshold {m2}")
                 summands = []
-                below = False
-                for t, a, b in frontier(m2):
-                    if not u_mask >> t & 1:
-                        continue
-                    below = True
+                for t in below:
+                    a, b = product_children[t]
                     t1, t2 = _order_product_children(a, b, w, deg, desc)
                     if t1 != w and not desc[t1] >> w & 1:
                         continue  # derivative cannot flow through t1: zero summand
@@ -446,8 +475,6 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                         continue
                     kids, weight = folded
                     summands.append((arena.product(kids), weight))
-                if not below:
-                    raise MissingGate(f"no frontier product below node {u} at threshold {m2}")
                 gates[u, w] = arena.sum_(summands) if summands else 0.0
 
     root_gate = gates.get((circuit.root, None))
@@ -529,13 +556,15 @@ def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Cir
 # ---------------------------------------------------------------------------
 
 def treeify(c: Circuit, normalize_output: bool = False,
-            node_budget: int = DEFAULT_TREE_BUDGET) -> tuple[Circuit, PipelineReport]:
+            node_budget: int = DEFAULT_TREE_BUDGET,
+            budget: int | None = None) -> tuple[Circuit, PipelineReport]:
     """binarize -> reduce_depth -> duplicate_to_tree (-> normalize),
-    recording node/edge/depth metrics after every stage."""
+    recording node/edge/depth metrics after every stage.  ``budget`` is
+    the monomial budget of the depth reducer's exact expansions."""
     stages = [stage_metrics("input", c)]
     b = binarize(c)
     stages.append(stage_metrics("binarize", b))
-    r = reduce_depth(b)
+    r = reduce_depth(b, budget)
     stages.append(stage_metrics("reduce_depth", r))
     t = duplicate_to_tree(r, node_budget)
     stages.append(stage_metrics("duplicate", t))

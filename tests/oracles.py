@@ -9,6 +9,8 @@ code against these.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 
 from pctree import SparsePolynomial
@@ -125,3 +127,19 @@ def grow_nonsmooth_child(c: Circuit, rng) -> Circuit:
     grown = nodes[v]
     nodes[v] = Sum(grown.children + (len(nodes) - 1,), grown.weights + (1.0,))
     return build_circuit(c.num_vars, nodes, c.root)
+
+
+def table_hash(c: Circuit) -> str:
+    """SHA-256 of the node table, root and variable count; weights are
+    written with shortest round-trip precision, so equal hashes mean
+    node-for-node identical circuits."""
+    rows = []
+    for node in c.nodes:
+        if isinstance(node, Leaf):
+            rows.append(("L", node.var, node.negated))
+        elif isinstance(node, Sum):
+            rows.append(("S", node.children, [repr(w) for w in node.weights]))
+        else:
+            rows.append(("P", node.children))
+    text = json.dumps([c.num_vars, c.root, rows], separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()

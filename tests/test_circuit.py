@@ -68,6 +68,9 @@ def test_negative_weights_representable_but_not_monotone():
     report = c.validity()
     assert not report.monotone
     assert report.witnesses["monotone"][0] == 2
+    nan = Circuit(1, [Leaf(0), Sum((0,), (math.nan,))], 1).validity()
+    assert not nan.monotone
+    assert nan.witnesses["monotone"] == (1, "negative or NaN edge weight")
 
 
 def test_hard_instance_builds_with_expected_node_count():
