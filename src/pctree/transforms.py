@@ -360,11 +360,10 @@ def _order_product_children(a: int, b: int, w: int, deg, desc) -> tuple[int, int
     return (a, b) if a < b else (b, a)
 
 
-def reduce_depth(circuit: Circuit, budget: int | None = None) -> Circuit:
+def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction).  ``budget`` caps the monomials of every exact
-    expansion, as in :func:`partial_derivative`."""
+    band construction)."""
     if not circuit.is_binary():
         raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
@@ -377,22 +376,22 @@ def reduce_depth(circuit: Circuit, budget: int | None = None) -> Circuit:
     deg = circuit.degrees
     desc = circuit.descendant_masks
     n_nodes = len(circuit.nodes)
-    cap = term_budget(budget)
+    cap = term_budget()
     arena = _Arena()
     gates: _GateTable = {}
     polys = _LazyPolys(circuit, cap)
 
-    # deg_le[d]: bitmask of the nodes of degree <= d
+    # deg_le[d]: bitmask of the nodes of degree <= d, for every d up to
+    # twice the largest degree, the top of the last band
     max_deg = max(deg)
-    deg_le = [0] * (max_deg + 1)
+    deg_le = [0] * (2 * max_deg + 1)
     for v, d in enumerate(deg):
         deg_le[d] |= 1 << v
-    for d in range(1, max_deg + 1):
+    for d in range(1, len(deg_le)):
         deg_le[d] |= deg_le[d - 1]
 
     def window(a: int, b: int) -> int:
         """Bitmask of the nodes with degree in ``(a, b]``."""
-        b = min(b, max_deg)
         return deg_le[b] & ~deg_le[a] if b > a else 0
 
     # pre-pass values: indicator leaves, then every degree-one node as a
@@ -409,7 +408,7 @@ def reduce_depth(circuit: Circuit, budget: int | None = None) -> Circuit:
     # are exactly the ancestors at gap zero or one
     for w in range(n_nodes):
         dw = deg[w]
-        shallow = _ancestor_derivatives(circuit, w, cap, within=deg_le[min(dw + 1, max_deg)],
+        shallow = _ancestor_derivatives(circuit, w, cap, within=deg_le[dw + 1],
                                         polys=polys)
         for u in sorted(shallow):
             if deg[u] >= 2 * dw:
@@ -453,13 +452,7 @@ def reduce_depth(circuit: Circuit, budget: int | None = None) -> Circuit:
         for u in range(n_nodes):
             du = deg[u]
             u_mask = desc[u]
-            candidates = pair_windows[du] & u_mask
-            if not candidates:
-                continue
-            for w in _bits(candidates):
-                gap = du - deg[w]
-                if not lo < gap <= hi or du >= 2 * deg[w]:
-                    continue
+            for w in _bits(pair_windows[du] & u_mask):
                 m2 = lo + deg[w]
                 below = _bits(frontier(m2) & u_mask)
                 if not below:
@@ -556,15 +549,13 @@ def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Cir
 # ---------------------------------------------------------------------------
 
 def treeify(c: Circuit, normalize_output: bool = False,
-            node_budget: int = DEFAULT_TREE_BUDGET,
-            budget: int | None = None) -> tuple[Circuit, PipelineReport]:
+            node_budget: int = DEFAULT_TREE_BUDGET) -> tuple[Circuit, PipelineReport]:
     """binarize -> reduce_depth -> duplicate_to_tree (-> normalize),
-    recording node/edge/depth metrics after every stage.  ``budget`` is
-    the monomial budget of the depth reducer's exact expansions."""
+    recording node/edge/depth metrics after every stage."""
     stages = [stage_metrics("input", c)]
     b = binarize(c)
     stages.append(stage_metrics("binarize", b))
-    r = reduce_depth(b, budget)
+    r = reduce_depth(b)
     stages.append(stage_metrics("reduce_depth", r))
     t = duplicate_to_tree(r, node_budget)
     stages.append(stage_metrics("duplicate", t))

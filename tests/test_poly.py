@@ -97,16 +97,6 @@ def test_term_budget():
     b = pt.binarize(hard)
     with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
         pt.partial_derivative(b, b.root, 0, budget=1)
-    # and so does the depth reducer, alone and inside treeify; none of the
-    # hard instance's expansions there exceeds one monomial, but the
-    # degree-one sums over x and ~x of a random DAG have two
-    c = pt.random_valid_pc(pt.GenParams(n=8, seed=1, reuse_prob=0.4))
-    b = pt.binarize(c)
-    with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
-        pt.reduce_depth(b, budget=1)
-    with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
-        pt.treeify(c, budget=1)
-    assert pt.reduce_depth(b, budget=2).nodes == pt.reduce_depth(b).nodes
 
 
 def test_term_budget_env_override(monkeypatch):
