@@ -2,7 +2,7 @@
 derivatives, depth reduction, and tree expansion.
 
 The depth reducer rewrites a binary, valid circuit band by band over
-node degrees.  Degree-one nodes and all derivative gates at degree gap
+node degrees.  Degree-one nodes and the derivative gates at degree gap
 at most one are realized directly as sums over indicator leaves; band
 ``i`` then covers degrees in ``(2**i, 2**(i+1)]``.  Within a band, a
 node's polynomial is re-expressed as a sum over the *frontier* products
@@ -21,17 +21,21 @@ band), so each band adds two levels and the result has depth
 logarithmic in the root degree.  Constant-valued gates are never
 materialized: they fold into the edge weights of the sums that use them.
 
-Candidates are enumerated from node-id bitmasks rather than by scanning
-and discarding.  ``deg_le[d]`` holds the nodes of degree at most ``d``,
-so a degree window ``(a, b]`` is ``deg_le[b] & ~deg_le[a]``.  The band's
-values are the nodes in ``(2**i, 2**(i+1)]``; the frontier at each
-threshold is a mask too, and the pivots below a node are that mask
-ANDed with the node's descendant mask.  For a derivative pair the
-conditions ``2**i < deg(u) - deg(w) <= 2**(i+1)`` and
-``deg(u) < 2 deg(w)`` put ``deg(w)`` in one window per ``deg(u)``, which
-ANDed with ``u``'s descendant mask yields exactly the admissible ``w``.
-Every loop walks set bits in ascending id order, so gates are built in a
-fixed order and the output is deterministic.
+Only the gates the root's gate reaches are built.  A demand pass walks
+the gate keys top-down from the root's value: a key at degree gap above
+one gets its summand plan (the frontier pivots below it, found as the
+threshold's frontier bitmask ANDed with the node's descendant mask, and
+the three factor keys of each) and pushes those factors; keys at gap at
+most one are collected per ``w``.  Constant folding is not looked at, so
+the demand set is a superset of what the root reaches, and the final
+reachability pass drops the few leftovers.  The build pass then makes
+every indicator leaf and degree-one value, one ancestor sweep per
+demanded ``w`` for the shallow derivatives, and the planned gates band by
+band: values by node id, then derivative pairs by ``(u, w)``, since pairs
+read their band's values.  That is the order in which building every
+admissible gate would create them, so the gates the root reaches appear
+in the same relative order and the compacted output is the same node
+for node.
 """
 
 from __future__ import annotations
@@ -363,7 +367,7 @@ def _order_product_children(a: int, b: int, w: int, deg, desc) -> tuple[int, int
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction)."""
+    band construction and the demand pass)."""
     if not circuit.is_binary():
         raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
@@ -375,45 +379,10 @@ def reduce_depth(circuit: Circuit) -> Circuit:
 
     deg = circuit.degrees
     desc = circuit.descendant_masks
-    n_nodes = len(circuit.nodes)
     cap = term_budget()
     arena = _Arena()
     gates: _GateTable = {}
     polys = _LazyPolys(circuit, cap)
-
-    # deg_le[d]: bitmask of the nodes of degree <= d, for every d up to
-    # twice the largest degree, the top of the last band
-    max_deg = max(deg)
-    deg_le = [0] * (2 * max_deg + 1)
-    for v, d in enumerate(deg):
-        deg_le[d] |= 1 << v
-    for d in range(1, len(deg_le)):
-        deg_le[d] |= deg_le[d - 1]
-
-    def window(a: int, b: int) -> int:
-        """Bitmask of the nodes with degree in ``(a, b]``."""
-        return deg_le[b] & ~deg_le[a] if b > a else 0
-
-    # pre-pass values: indicator leaves, then every degree-one node as a
-    # sum over the indicators of its single variable
-    for v in circuit.topo_order:
-        if deg[v] == 1:
-            node = circuit.nodes[v]
-            gates[v, None] = (arena.leaf(node.var, node.negated) if isinstance(node, Leaf)
-                              else arena.affine_gate(polys.get(v)))
-
-    # pre-pass derivative gates: all pairs at degree gap <= 1 (gap zero
-    # folds to a constant, gap one is affine over a single variable);
-    # ancestors never have a lower degree, so the nodes of degree <= dw + 1
-    # are exactly the ancestors at gap zero or one
-    for w in range(n_nodes):
-        dw = deg[w]
-        shallow = _ancestor_derivatives(circuit, w, cap, within=deg_le[dw + 1],
-                                        polys=polys)
-        for u in sorted(shallow):
-            if deg[u] >= 2 * dw:
-                continue
-            gates[u, w] = 1.0 if u == w else arena.affine_gate(shallow[u])
 
     # frontier masks per threshold on demand, children per product
     binary_products = _binary_products(circuit)
@@ -426,49 +395,84 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             mask |= 1 << t
         return mask
 
-    d_root = deg[circuit.root]
-    num_bands = (d_root - 1).bit_length() if d_root > 1 else 0
-    for i in range(num_bands):
-        lo, hi = 1 << i, 2 << i
-        # band values
-        front = frontier(lo)
-        for v in _bits(window(lo, hi)):
-            below = _bits(front & desc[v])
-            if not below:
-                raise MissingGate(f"no frontier product below node {v} at threshold {lo}")
-            summands = []
-            for t in below:
-                a, b = product_children[t]
-                folded = _resolve(gates, ((a, None), (b, None), (v, t)))
-                if folded is None:
-                    continue
-                kids, weight = folded
-                summands.append((arena.product(kids), weight))
-            gates[v, None] = arena.sum_(summands) if summands else 0.0
-        # band derivative pairs: w below u with lo < deg(u) - deg(w) <= hi
-        # and deg(u) < 2 deg(w), i.e. deg(w) in (max(du - hi - 1, du // 2), du - lo - 1]
-        pair_windows = [window(max(du - hi - 1, du // 2), du - lo - 1)
-                        for du in range(max_deg + 1)]
-        for u in range(n_nodes):
-            du = deg[u]
-            u_mask = desc[u]
-            for w in _bits(pair_windows[du] & u_mask):
-                m2 = lo + deg[w]
-                below = _bits(frontier(m2) & u_mask)
-                if not below:
-                    raise MissingGate(f"no frontier product below node {u} at threshold {m2}")
-                summands = []
-                for t in below:
-                    a, b = product_children[t]
-                    t1, t2 = _order_product_children(a, b, w, deg, desc)
-                    if t1 != w and not desc[t1] >> w & 1:
-                        continue  # derivative cannot flow through t1: zero summand
-                    folded = _resolve(gates, ((t2, None), (t1, w), (u, t)))
-                    if folded is None:
-                        continue
-                    kids, weight = folded
-                    summands.append((arena.product(kids), weight))
-                gates[u, w] = arena.sum_(summands) if summands else 0.0
+    def plan(u: int, w: int | None, lo: int) -> list[tuple[tuple[int, int | None], ...]]:
+        """Factor keys of each summand of gate ``(u, w)`` in band ``lo``:
+        ``f(a) * f(b) * d_t f(u)`` for a value, ``f(t2) * d_w f(t1) *
+        d_t f(u)`` for a derivative, one per frontier pivot ``t``."""
+        m = lo if w is None else lo + deg[w]
+        below = _bits(frontier(m) & desc[u])
+        if not below:
+            raise MissingGate(f"no frontier product below node {u} at threshold {m}")
+        summands = []
+        for t in below:
+            a, b = product_children[t]
+            if w is not None:
+                t1, t2 = _order_product_children(a, b, w, deg, desc)
+                if t1 != w and not desc[t1] >> w & 1:
+                    continue  # derivative cannot flow through t1: zero summand
+                a, b = t2, t1
+            summands.append(((a, None), (b, w), (u, t)))
+        return summands
+
+    # demand pass: walk the gate keys the root's gate reaches.  Values of
+    # degree one and derivatives at degree gap <= 1 are built directly
+    # (the latter grouped by ``w``); every other key is planned once and
+    # queued for its band, under the band's build order.  Every pair a
+    # plan names has deg(u) < 2 deg(w), as the band expansions require.
+    shallow: dict[int, list[int]] = {}
+    planned = []
+    seen = {(circuit.root, None)}
+    stack = [(circuit.root, None)]
+    while stack:
+        key = stack.pop()
+        u, w = key
+        gap = deg[u] - (0 if w is None else deg[w])
+        if gap <= 1:
+            if w is not None:
+                shallow.setdefault(w, []).append(u)
+            continue
+        band = (gap - 1).bit_length() - 1
+        summands = plan(u, w, 1 << band)
+        planned.append(((band, 0, u, 0) if w is None else (band, 1, u, w), key, summands))
+        for keys in summands:
+            for k in keys:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+
+    # values: indicator leaves, then every degree-one node as a sum over
+    # the indicators of its single variable
+    for v in circuit.topo_order:
+        if deg[v] == 1:
+            node = circuit.nodes[v]
+            gates[v, None] = (arena.leaf(node.var, node.negated) if isinstance(node, Leaf)
+                              else arena.affine_gate(polys.get(v)))
+
+    # derivative gates at degree gap <= 1 (gap zero folds to a constant,
+    # gap one is affine over a single variable), one ancestor sweep per
+    # ``w`` limited to the demanded ancestors' sub-DAGs; degrees never grow
+    # downward, so every ancestor of ``w`` in there is within gap one
+    for w in sorted(shallow):
+        us = sorted(shallow[w])
+        within = 0
+        for u in us:
+            within |= desc[u]
+        derivs = _ancestor_derivatives(circuit, w, cap, within=within, polys=polys)
+        for u in us:
+            gates[u, w] = 1.0 if u == w else arena.affine_gate(derivs[u])
+
+    # band gates: per band, values by node, then derivative pairs by
+    # (u, w), which read the band's values
+    planned.sort(key=lambda entry: entry[0])
+    for _, key, summands in planned:
+        products = []
+        for keys in summands:
+            folded = _resolve(gates, keys)
+            if folded is None:
+                continue
+            kids, weight = folded
+            products.append((arena.product(kids), weight))
+        gates[key] = arena.sum_(products) if products else 0.0
 
     root_gate = gates.get((circuit.root, None))
     if root_gate is None:

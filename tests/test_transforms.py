@@ -400,6 +400,8 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "9dfe40e94c083b31c6b5879e1a9460e82c0c397cdc9cbe0123466aec2cb57d9c"),
     "hard-3": ("61438fac4ca2535c1f1f81d79166c77626762624e721c40333ff7ac43712f532",
                "0c350ae938428aae10b5ec4b62cc67b165b3099d653f6193e3ceb820fb33c10e"),
+    "hard-4": ("43fa81fc53dfb4f82dc6dca254673933db8a7e3b9e45da1ca2ddd35c0aa1922e",
+               "793df2c1f6097ded608e86ab082c681c9f6426f28152ac8e63f50d78766948e4"),
 }
 
 
