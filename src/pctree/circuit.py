@@ -10,11 +10,10 @@ variable out, and at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
 pass over the stored topological order; the per-node tables (scopes,
-degrees, descendant and ancestor masks) and the reports of
-:meth:`Circuit.validity` and :meth:`Circuit.stats` are computed on first
-use and cached on the instance.  Transforms elsewhere in the package
-always build fresh circuits, so instances are safe to share across
-threads.
+degrees, descendant and ancestor masks) are cached on the instance, while
+:meth:`Circuit.validity` and :meth:`Circuit.stats` recompute on every
+call.  Transforms elsewhere in the package always build fresh circuits,
+so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import (
     AssignmentLengthMismatch,
@@ -109,7 +107,7 @@ class ValidityReport:
     homogeneous: bool
     normalized: bool
     monotone: bool
-    witnesses: Mapping[str, tuple[int, str]] = field(default_factory=dict)
+    witnesses: dict[str, tuple[int, str]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -309,22 +307,13 @@ class Circuit:
     # -- analyses -------------------------------------------------------------
 
     def validity(self) -> ValidityReport:
-        """All five structural flags, computed in one topological pass on
-        the first call.
+        """Compute all five structural flags in one topological pass.
 
         Homogeneity is decided structurally (all sum children share one
         structural degree, everywhere), which is exact for decomposable
         circuits; monotonicity by the syntactic condition that every sum
         weight is non-negative (NaN is not).
         """
-        return self._validity
-
-    def stats(self) -> Stats:
-        """Size, depth and shape counts, computed on the first call."""
-        return self._stats
-
-    @cached_property
-    def _validity(self) -> ValidityReport:
         flags = {"decomposable": True, "smooth": True, "homogeneous": True,
                  "normalized": True, "monotone": True}
         witnesses: dict[str, tuple[int, str]] = {}
@@ -357,11 +346,9 @@ class Circuit:
                     total_bits += scope[ch].bit_count()
                 if union.bit_count() != total_bits:
                     fail("decomposable", v, "children with overlapping scopes")
-        # read-only, as every caller shares the cached report
-        return ValidityReport(witnesses=MappingProxyType(witnesses), **flags)
+        return ValidityReport(witnesses=witnesses, **flags)
 
-    @cached_property
-    def _stats(self) -> Stats:
+    def stats(self) -> Stats:
         indegree = [0] * len(self.nodes)
         edges = 0
         max_fanout = 0
