@@ -22,9 +22,7 @@ from .circuit import (
 )
 from .instances import (
     GenParams,
-    HardInstanceLayout,
     build_hard_instance,
-    hard_instance_layout,
     random_valid_pc,
     strip_negations,
 )
@@ -63,8 +61,7 @@ __all__ = [
     "build_circuit", "boolean_assignment", "marginal_assignment",
     "SparsePolynomial", "extract_polynomial", "node_polynomials",
     "pairing_polynomial", "poly_equal", "random_equivalence",
-    "GenParams", "HardInstanceLayout", "build_hard_instance",
-    "hard_instance_layout", "random_valid_pc", "strip_negations",
+    "GenParams", "build_hard_instance", "random_valid_pc", "strip_negations",
     "FrontierSet", "PipelineReport", "StageMetrics",
     "binarize", "normalize", "partial_derivative", "degree_frontier",
     "reduce_depth", "duplicate_to_tree", "treeify",

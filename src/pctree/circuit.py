@@ -278,10 +278,6 @@ class Circuit:
                 masks[ch] |= m
         return tuple(masks)
 
-    def is_descendant(self, ancestor: int, v: int) -> bool:
-        """True when ``v`` lies in the sub-DAG of ``ancestor`` (reflexive)."""
-        return bool(self.descendant_masks[ancestor] >> v & 1)
-
     # -- evaluation -----------------------------------------------------------
 
     def evaluate(self, assignment: Sequence[float]) -> float:

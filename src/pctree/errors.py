@@ -51,6 +51,10 @@ class NotMultilinear(PCError):
     polynomials are representable."""
 
 
+class NonFiniteValue(PCError):
+    """A circuit evaluated to inf or NaN where a finite value is needed."""
+
+
 class KTooLarge(PCError):
     """The requested hard-instance index is beyond the supported range."""
 

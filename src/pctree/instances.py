@@ -14,35 +14,15 @@ circuits with full-scope roots, for property testing of the transforms.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, _renumber, build_circuit
 from .errors import EmptyProductNode, KTooLarge
 
 
-@dataclass(frozen=True)
-class HardInstanceLayout:
-    """Layer bookkeeping for the hard instance.
-
-    ``layer_index`` maps every node to its layer: 0 for the base leaves,
-    ``2k`` for the root, and -1 for the negation leaves added during
-    augmentation.  ``label`` maps each structural node to its
-    ``(layer, position)`` pair, positions starting at 1.
-    """
-
-    k: int
-    n: int
-    layer_index: dict[int, int] = field(default_factory=dict)
-    label: dict[int, tuple[int, int]] = field(default_factory=dict)
-
-    def node_at(self, layer: int, position: int) -> int:
-        for node, pair in self.label.items():
-            if pair == (layer, position):
-                return node
-        raise KeyError((layer, position))
-
-
-def _build_hard(k: int) -> tuple[Circuit, HardInstanceLayout]:
+def build_hard_instance(k: int) -> Circuit:
+    """Tree PC over ``4**k`` variables with ``2*4**k - 1 + k*4**k`` nodes
+    and depth ``2k``, unit sum weights, valid on all structural checks."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > 4:
@@ -50,57 +30,30 @@ def _build_hard(k: int) -> tuple[Circuit, HardInstanceLayout]:
     n = 4 ** k
     nodes: list[Node] = [Leaf(i) for i in range(n)]
     scope: list[int] = [1 << i for i in range(n)]  # scope bitmask per node id
-    layout = HardInstanceLayout(k, n)
-    for i in range(n):
-        layout.layer_index[i] = 0
-        layout.label[i] = (0, i + 1)
 
-    def emit(node: Node, mask: int, layer: int, position: int | None = None) -> int:
-        nid = len(nodes)
+    def emit(node: Node, mask: int) -> int:
         nodes.append(node)
         scope.append(mask)
-        layout.layer_index[nid] = layer
-        if position is not None:
-            layout.label[nid] = (layer, position)
-        return nid
+        return len(nodes) - 1
 
     level = list(range(n))
     for layer in range(1, 2 * k + 1):
-        width = len(level) // 2
-        ids = []
+        pairs = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         if layer % 2 == 1:
-            pre = []
-            for q in range(width):
-                a, b = level[2 * q], level[2 * q + 1]
-                mask = scope[a] | scope[b]
-                ids.append(emit(Product((a, b)), mask, layer, q + 1))
-                pre.append(mask)
+            ids = [emit(Product((a, b)), scope[a] | scope[b]) for a, b in pairs]
+            pre = [scope[v] for v in ids]
             # augmentation: each product gains fresh negation leaves for
             # exactly its sibling's pre-augmentation scope
-            for q in range(0, width, 2):
+            for q in range(0, len(ids), 2):
                 for me, sib in ((q, q + 1), (q + 1, q)):
-                    negs = tuple(emit(Leaf(var, negated=True), 1 << var, -1)
+                    negs = tuple(emit(Leaf(var, negated=True), 1 << var)
                                  for var in _bits(pre[sib]))
-                    grown = nodes[ids[me]]
-                    nodes[ids[me]] = Product(grown.children + negs)
+                    nodes[ids[me]] = Product(nodes[ids[me]].children + negs)
                     scope[ids[me]] = pre[me] | pre[sib]
         else:
-            for q in range(width):
-                a, b = level[2 * q], level[2 * q + 1]
-                ids.append(emit(Sum((a, b), (1.0, 1.0)), scope[a] | scope[b], layer, q + 1))
+            ids = [emit(Sum((a, b), (1.0, 1.0)), scope[a] | scope[b]) for a, b in pairs]
         level = ids
-    return build_circuit(n, nodes, level[0]), layout
-
-
-def build_hard_instance(k: int) -> Circuit:
-    """Tree PC over ``4**k`` variables with ``2*4**k - 1 + k*4**k`` nodes
-    and depth ``2k``, unit sum weights, valid on all structural checks."""
-    return _build_hard(k)[0]
-
-
-def hard_instance_layout(k: int) -> HardInstanceLayout:
-    """Layer/label map matching the node ids of :func:`build_hard_instance`."""
-    return _build_hard(k)[1]
+    return build_circuit(n, nodes, level[0])
 
 
 def strip_negations(c: Circuit) -> Circuit:

@@ -22,20 +22,28 @@ from typing import Iterable, Iterator, Sequence
 from .circuit import Circuit, Leaf, Sum, _bits, slot
 from .errors import (
     KTooLarge,
+    NonFiniteValue,
     NotMultilinear,
     TermBudgetExceeded,
     VarCountMismatch,
 )
 
-#: Monomial cap for exact expansion, overridable via the PC_TERM_BUDGET
-#: environment variable or a per-call argument.
+#: Monomial cap for exact expansion; the PC_TERM_BUDGET environment
+#: variable, a positive integer, overrides it.
 DEFAULT_TERM_BUDGET = 10 ** 6
 
 
-def term_budget(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    return int(os.environ.get("PC_TERM_BUDGET", DEFAULT_TERM_BUDGET))
+def term_budget() -> int:
+    text = os.environ.get("PC_TERM_BUDGET")
+    if text is None:
+        return DEFAULT_TERM_BUDGET
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"PC_TERM_BUDGET must be a positive integer, got {text!r}")
+    return cap
 
 
 class SparsePolynomial:
@@ -192,14 +200,14 @@ def poly_equal(p: SparsePolynomial, q: SparsePolynomial, tol: float = 0.0) -> bo
     return all(math.isclose(q.terms[m], c, rel_tol=tol) for m, c in p.terms.items())
 
 
-def extract_polynomial(c: Circuit, budget: int | None = None) -> SparsePolynomial:
+def extract_polynomial(c: Circuit) -> SparsePolynomial:
     """Symbolic bottom-up expansion of the polynomial computed by the root.
 
     Raises :class:`TermBudgetExceeded` as soon as any intermediate result
-    outgrows the monomial budget, so infeasible circuits fail loudly
-    instead of exhausting memory.
+    outgrows the monomial budget (:func:`term_budget`), so infeasible
+    circuits fail loudly instead of exhausting memory.
     """
-    return node_polynomials(c, budget)[c.root]
+    return node_polynomials(c)[c.root]
 
 
 def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0,
@@ -207,17 +215,26 @@ def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0
     """Randomized identity test for circuits too large to expand.
 
     Evaluates both circuits at ``trials`` assignments whose slots are
-    drawn uniformly from the integers ``0 .. 2n+1``; distinct multilinear
-    polynomials then disagree with high probability per trial.  The
-    answer is one-sided: ``False`` is definitive, ``True`` probabilistic.
+    drawn uniformly from the ``2n+2`` points ``1 + j/(2n+2)``; distinct
+    multilinear polynomials then disagree with high probability per
+    trial.  The points lie in ``[1, 2)``, so a monomial of degree ``d``
+    grows like ``2**d`` rather than ``(2n+1)**d`` and values stay finite
+    at every supported size; a value that is not finite raises
+    :class:`NonFiniteValue` rather than being compared.  The answer is
+    one-sided: ``False`` is definitive, ``True`` probabilistic.
     """
     if c1.num_vars != c2.num_vars:
         raise VarCountMismatch(f"{c1.num_vars} vs {c2.num_vars} variables")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = random.Random(seed)
-    hi = 2 * c1.num_vars + 1
+    points = 2 * c1.num_vars + 2
     for _ in range(trials):
-        a = [float(rng.randint(0, hi)) for _ in range(2 * c1.num_vars)]
-        if not math.isclose(c1.evaluate(a), c2.evaluate(a), rel_tol=tol):
+        a = [1.0 + rng.randrange(points) / points for _ in range(2 * c1.num_vars)]
+        x, y = c1.evaluate(a), c2.evaluate(a)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NonFiniteValue(f"circuit values {x!r} and {y!r} at a random point")
+        if not math.isclose(x, y, rel_tol=tol):
             return False
     return True
 
@@ -250,11 +267,11 @@ def pairing_polynomial(k: int) -> SparsePolynomial:
     return level[0]
 
 
-def node_polynomials(c: Circuit, budget: int | None = None) -> list[SparsePolynomial]:
-    """Exact polynomial of every node, in id order (same budget rules as
+def node_polynomials(c: Circuit) -> list[SparsePolynomial]:
+    """Exact polynomial of every node, in id order (same budget rule as
     :func:`extract_polynomial`)."""
     polys: list[SparsePolynomial | None] = [None] * len(c.nodes)
-    _expand(c, c.topo_order, polys, term_budget(budget))
+    _expand(c, c.topo_order, polys, term_budget())
     return polys  # type: ignore[return-value]
 
 

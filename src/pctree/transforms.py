@@ -241,8 +241,7 @@ def _ancestor_derivatives(c: Circuit, w: int, cap: int, within: int | None = Non
     return alpha
 
 
-def partial_derivative(c: Circuit, v: int, w: int,
-                       budget: int | None = None) -> SparsePolynomial:
+def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     """Exact partial derivative of ``v``'s polynomial with respect to the
     polynomial of node ``w`` (the zero polynomial when ``w`` is not a
     descendant of ``v``)."""
@@ -251,10 +250,10 @@ def partial_derivative(c: Circuit, v: int, w: int,
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
     if v == w:
         return SparsePolynomial.constant(c.num_vars, 1.0)
-    if not c.is_descendant(v, w):
+    below = c.descendant_masks[v]
+    if not below >> w & 1:
         return SparsePolynomial.zero(c.num_vars)
-    cap = term_budget(budget)
-    alphas = _ancestor_derivatives(c, w, cap, within=c.descendant_masks[v])
+    alphas = _ancestor_derivatives(c, w, term_budget(), within=below)
     return alphas.get(v, SparsePolynomial.zero(c.num_vars))
 
 

@@ -129,6 +129,31 @@ def grow_nonsmooth_child(c: Circuit, rng) -> Circuit:
     return build_circuit(c.num_vars, nodes, c.root)
 
 
+def chain_dag(n: int, root_weights: tuple[float, float]) -> Circuit:
+    """Deep DAG over ``n`` variables: the suffix circuit over variables
+    ``i..n-1`` is a sum of two products, each a different mixture of
+    ``x_i`` and ``~x_i`` times the one shared suffix circuit over
+    ``i+1..n-1``.  Depth, root degree and node count are all linear in
+    ``n``."""
+    from pctree import build_circuit
+
+    nodes: list = []
+
+    def emit(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def mixture(var: int, weights: tuple[float, float]) -> int:
+        return emit(Sum((emit(Leaf(var)), emit(Leaf(var, True))), weights))
+
+    suffix = mixture(n - 1, (0.5, 0.5))
+    for var in range(n - 2, -1, -1):
+        left = emit(Product((mixture(var, (0.3, 0.7)), suffix)))
+        right = emit(Product((mixture(var, (0.6, 0.4)), suffix)))
+        suffix = emit(Sum((left, right), root_weights if var == 0 else (0.5, 0.5)))
+    return build_circuit(n, nodes, suffix)
+
+
 def table_hash(c: Circuit) -> str:
     """SHA-256 of the node table, root and variable count; weights are
     written with shortest round-trip precision, so equal hashes mean

@@ -81,8 +81,8 @@ def test_scope_of_leaves_and_augmented_products():
     c = build_circuit(4, [Leaf(3, True)], 0)
     assert c.scope(0) == frozenset({3})
     hard = pt.build_hard_instance(1)
-    layout = pt.hard_instance_layout(1)
-    first_product = layout.node_at(1, 1)
+    first_product = next(v for v, node in enumerate(hard.nodes) if isinstance(node, Product)
+                         and hard.degree(v) == 4 and 0 in hard.scope(v))
     assert hard.scope(first_product) == frozenset({0, 1, 2, 3})
 
 

@@ -200,6 +200,12 @@ def test_module_errors_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "gen-random", "--n", "4", "--reuse", "1.5",
                        "--out", str(tmp_path / "r.json"))
     assert code == 1 and err.startswith("error:")
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    main(["gen-random", "--n", "4", "--seed", "1", "--out", a])
+    main(["gen-random", "--n", "4", "--seed", "2", "--out", b])
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--trials", trials)
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 def test_term_budget_env(tmp_path, capsys, monkeypatch):

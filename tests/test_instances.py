@@ -53,14 +53,21 @@ def test_hard_instance_negation_placement(k):
 
 
 def test_hard_instance_layout():
-    layout = pt.hard_instance_layout(2)
-    assert (layout.k, layout.n) == (2, 16)
-    widths = Counter(layer for layer in layout.layer_index.values() if layer >= 0)
-    assert [widths[i] for i in range(5)] == [16, 8, 4, 2, 1]
     c = pt.build_hard_instance(2)
-    assert layout.node_at(4, 1) == c.root
-    first = c.nodes[layout.node_at(1, 1)]
-    assert isinstance(first, Product)
+    assert c.num_vars == 16
+
+    # layer 0 holds the positive leaves; layer L >= 1 holds products (odd
+    # L) or sums (even L) of degree 4**ceil(L/2)
+    def kind(node):
+        return "negation" if isinstance(node, Leaf) and node.negated else type(node).__name__
+
+    widths = Counter((kind(node), c.degree(v)) for v, node in enumerate(c.nodes))
+    layers = [("Leaf", 1)] + [("Product" if layer % 2 else "Sum", 4 ** ((layer + 1) // 2))
+                              for layer in range(1, 5)]
+    assert [widths[cls] for cls in layers] == [16, 8, 4, 2, 1]
+    assert (kind(c.nodes[c.root]), c.degree(c.root)) == layers[4]
+    first = c.nodes[next(v for v, node in enumerate(c.nodes) if isinstance(node, Product)
+                         and c.degree(v) == 4 and 0 in c.scope(v))]
     assert {(c.nodes[ch].var, c.nodes[ch].negated) for ch in first.children} == \
         {(0, False), (1, False), (2, True), (3, True)}
 

@@ -5,11 +5,17 @@ import pytest
 
 import pctree as pt
 from pctree import SparsePolynomial, build_circuit
-from pctree.circuit import Leaf, Sum
-from pctree.errors import KTooLarge, NotMultilinear, TermBudgetExceeded, VarCountMismatch
+from pctree.circuit import Leaf, Product, Sum
+from pctree.errors import (
+    KTooLarge,
+    NonFiniteValue,
+    NotMultilinear,
+    TermBudgetExceeded,
+    VarCountMismatch,
+)
 from pctree.poly import slot
 
-from oracles import mobius_terms
+from oracles import chain_dag, mobius_terms
 
 
 def mono(*indicators):
@@ -88,21 +94,28 @@ def test_extract_then_evaluate_consistency(small_corpus):
             assert math.isclose(p.evaluate(a), c.evaluate(a), rel_tol=1e-9)
 
 
-def test_term_budget():
+def test_term_budget(monkeypatch):
     hard = pt.build_hard_instance(2)
+    monkeypatch.setenv("PC_TERM_BUDGET", "3")
     with pytest.raises(TermBudgetExceeded):
-        pt.extract_polynomial(hard, budget=3)
-    assert len(pt.extract_polynomial(hard, budget=8).terms) == 8
+        pt.extract_polynomial(hard)
+    monkeypatch.setenv("PC_TERM_BUDGET", "8")
+    assert len(pt.extract_polynomial(hard).terms) == 8
     # the lazy co-factor expansion inside partial_derivative honours it too
     b = pt.binarize(hard)
+    monkeypatch.setenv("PC_TERM_BUDGET", "1")
     with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
-        pt.partial_derivative(b, b.root, 0, budget=1)
+        pt.partial_derivative(b, b.root, 0)
 
 
 def test_term_budget_env_override(monkeypatch):
     monkeypatch.setenv("PC_TERM_BUDGET", "3")
     with pytest.raises(TermBudgetExceeded):
         pt.extract_polynomial(pt.build_hard_instance(2))
+    for text in ("lots", "0"):
+        monkeypatch.setenv("PC_TERM_BUDGET", text)
+        with pytest.raises(ValueError, match="PC_TERM_BUDGET"):
+            pt.extract_polynomial(pt.build_hard_instance(2))
 
 
 def test_poly_equal():
@@ -141,6 +154,23 @@ def test_random_equivalence():
     assert not pt.random_equivalence(c, mutated, trials=8, seed=1)
     with pytest.raises(VarCountMismatch):
         pt.random_equivalence(c, pt.random_valid_pc(pt.GenParams(n=4, seed=0)), trials=4, seed=0)
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials"):
+            pt.random_equivalence(c, mutated, trials=trials)
+
+
+def test_random_equivalence_at_the_largest_sizes():
+    hard = pt.build_hard_instance(4)
+    assert pt.random_equivalence(hard, hard)
+    nodes = list(hard.nodes)
+    nodes[hard.root] = Sum(nodes[hard.root].children, (1.0, 1.5))
+    assert not pt.random_equivalence(hard, build_circuit(hard.num_vars, nodes, hard.root))
+    # degree 256: the perturbation shows only while both values stay finite
+    assert not pt.random_equivalence(chain_dag(256, (0.4, 0.6)), chain_dag(256, (0.9, 0.1)))
+    # a value past the float range raises instead of comparing inf with inf
+    huge = build_circuit(2, [Leaf(0), Leaf(1), Product((0, 1)), Sum((2,), (1e308,))], 3)
+    with pytest.raises(NonFiniteValue):
+        pt.random_equivalence(huge, huge)
 
 
 def test_random_equivalence_accepts_treeified_circuit():
