@@ -345,21 +345,16 @@ class Circuit:
         return ValidityReport(witnesses=witnesses, **flags)
 
     def stats(self) -> Stats:
-        indegree = [0] * len(self.nodes)
         edges = 0
         max_fanout = 0
-        for node in self.nodes:
-            kids = _children(node)
-            edges += len(kids)
-            max_fanout = max(max_fanout, len(kids))
-            for ch in kids:
-                indegree[ch] += 1
         depth = [0] * len(self.nodes)
         for v in self.topo_order:
             kids = _children(self.nodes[v])
             if kids:
+                edges += len(kids)
+                max_fanout = max(max_fanout, len(kids))
                 depth[v] = 1 + max(depth[ch] for ch in kids)
-        is_tree = all(d == 1 for v, d in enumerate(indegree) if v != self.root)
+        is_tree = edges == len(self.nodes) - 1  # every non-root node has a parent
         return Stats(
             num_nodes=len(self.nodes),
             num_edges=edges,
@@ -375,8 +370,9 @@ def build_circuit(num_vars: int, nodes: Iterable[Node], root: int) -> Circuit:
 
     Beyond the structural checks done by :class:`Circuit` itself, this
     rejects sum nodes with a negative or non-finite (NaN, infinite)
-    weight or an all-zero weight vector.  All circuits produced by this
-    package go through here.
+    weight or an all-zero weight vector.  The reader, the generators and
+    ``strip_negations`` build through here; the transforms call
+    :class:`Circuit` directly, so their output is checked only structurally.
     """
     nodes = tuple(nodes)
     for v, node in enumerate(nodes):

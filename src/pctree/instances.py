@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, _renumber, build_circuit
+from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber, build_circuit
 from .errors import EmptyProductNode, KTooLarge
 
 
@@ -29,29 +29,26 @@ def build_hard_instance(k: int) -> Circuit:
         raise KTooLarge(f"k={k} means {4 ** k} variables; supported range is 1..4")
     n = 4 ** k
     nodes: list[Node] = [Leaf(i) for i in range(n)]
-    scope: list[int] = [1 << i for i in range(n)]  # scope bitmask per node id
 
-    def emit(node: Node, mask: int) -> int:
+    def emit(node: Node) -> int:
         nodes.append(node)
-        scope.append(mask)
         return len(nodes) - 1
 
     level = list(range(n))
     for layer in range(1, 2 * k + 1):
         pairs = [(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         if layer % 2 == 1:
-            ids = [emit(Product((a, b)), scope[a] | scope[b]) for a, b in pairs]
-            pre = [scope[v] for v in ids]
-            # augmentation: each product gains fresh negation leaves for
-            # exactly its sibling's pre-augmentation scope
-            for q in range(0, len(ids), 2):
-                for me, sib in ((q, q + 1), (q + 1, q)):
-                    negs = tuple(emit(Leaf(var, negated=True), 1 << var)
-                                 for var in _bits(pre[sib]))
-                    nodes[ids[me]] = Product(nodes[ids[me]].children + negs)
-                    scope[ids[me]] = pre[me] | pre[sib]
+            ids = [emit(Product(pair)) for pair in pairs]
+            # augmentation: each product gains fresh negation leaves for its
+            # sibling's pre-augmentation scope, the sibling's block of ``width`` variables
+            width = 2 * 4 ** (layer // 2)
+            for me, v in enumerate(ids):
+                sib = me ^ 1
+                negs = tuple(emit(Leaf(var, negated=True))
+                             for var in range(sib * width, (sib + 1) * width))
+                nodes[v] = Product(nodes[v].children + negs)
         else:
-            ids = [emit(Sum((a, b), (1.0, 1.0)), scope[a] | scope[b]) for a, b in pairs]
+            ids = [emit(Sum(pair, (1.0, 1.0))) for pair in pairs]
         level = ids
     return build_circuit(n, nodes, level[0])
 

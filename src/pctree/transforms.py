@@ -40,6 +40,7 @@ for node.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -48,6 +49,7 @@ from .errors import (
     DanglingChild,
     InvalidInput,
     MissingGate,
+    NonFiniteValue,
     NotBinary,
     NotHomogeneous,
     SizeBudgetExceeded,
@@ -156,7 +158,8 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
     Every sum's outgoing weights are divided by their (scale-adjusted)
     total, and the total propagates to the parents; the returned constant
     satisfies ``evaluate(old, a) == constant * evaluate(new, a)`` for
-    every assignment.
+    every assignment.  A sum total or product scale that is not finite
+    raises :class:`NonFiniteValue` naming the node.
     """
     scale = [1.0] * len(c.nodes)
     nodes: list[Node] = list(c.nodes)
@@ -174,6 +177,8 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
             for ch in node.children:
                 acc *= scale[ch]
             scale[v] = acc
+        if not math.isfinite(scale[v]):
+            raise NonFiniteValue(f"{type(node).__name__.lower()} {v}: scale {scale[v]!r} is not finite")
     return Circuit(c.num_vars, nodes, c.root), scale[c.root]
 
 
@@ -200,19 +205,18 @@ class _LazyPolys:
         return memo[s]
 
 
-def _ancestor_derivatives(c: Circuit, w: int, cap: int, within: int | None = None,
-                          polys: _LazyPolys | None = None) -> dict[int, SparsePolynomial]:
-    """Partial derivatives ``d_w f(u)`` for ancestors ``u`` of ``w``.
+def _ancestor_derivatives(polys: _LazyPolys, w: int, within: int) -> dict[int, SparsePolynomial]:
+    """Partial derivatives ``d_w f(u)`` for the ancestors ``u`` of ``w``
+    in the node-id bitmask ``within``, ``w`` itself (1.0) included.
 
     Substitutes an atom for ``w``'s polynomial and propagates the atom's
     linear coefficient upward; the co-factor (the untouched sibling
     polynomial) is expanded lazily, so the cost scales with the size of
-    the derivatives rather than of the full polynomials.  ``within``
-    restricts the result to a node-id bitmask.
+    the derivatives rather than of the full polynomials.
     """
-    polys = polys or _LazyPolys(c, cap)
+    c, cap = polys.c, polys.cap
     alpha: dict[int, SparsePolynomial] = {w: SparsePolynomial.constant(c.num_vars, 1.0)}
-    candidates = _bits(c.ancestor_masks[w] if within is None else c.ancestor_masks[w] & within)
+    candidates = _bits(c.ancestor_masks[w] & within)
     candidates.sort(key=c.topo_positions.__getitem__)
     for u in candidates:
         if u == w:
@@ -248,12 +252,7 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     n = len(c.nodes)
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
-    if v == w:
-        return SparsePolynomial.constant(c.num_vars, 1.0)
-    below = c.descendant_masks[v]
-    if not below >> w & 1:
-        return SparsePolynomial.zero(c.num_vars)
-    alphas = _ancestor_derivatives(c, w, term_budget(), within=below)
+    alphas = _ancestor_derivatives(_LazyPolys(c, term_budget()), w, c.descendant_masks[v])
     return alphas.get(v, SparsePolynomial.zero(c.num_vars))
 
 
@@ -308,13 +307,17 @@ class _Arena:
     def product(self, children: list[int]) -> int:
         return self.add(Product(tuple(children)))
 
-    def sum_(self, pairs: list[tuple[int, float]]) -> int:
-        return self.add(Sum(tuple(p for p, _ in pairs), tuple(w for _, w in pairs)))
+    def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> int:
+        """Sum node of gate ``key``; the key names it if a weight is not finite."""
+        weights = tuple(w for _, w in pairs)
+        if not all(map(math.isfinite, weights)):
+            raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
+        return self.add(Sum(tuple(p for p, _ in pairs), weights))
 
-    def affine_gate(self, p: SparsePolynomial) -> int | float:
-        """Realize a polynomial of degree <= 1: constants (including the
-        zero polynomial) stay plain floats, linear forms become a sum
-        over the matching indicator leaves."""
+    def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> int | float:
+        """Realize gate ``key``'s polynomial of degree <= 1: constants
+        (including the zero polynomial) stay plain floats, linear forms
+        become a sum over the matching indicator leaves."""
         if p.is_constant():
             return p.constant_value()
         pairs = []
@@ -323,7 +326,7 @@ class _Arena:
                 raise NotHomogeneous("affine gate mixes a constant with linear terms")
             s = m.bit_length() - 1
             pairs.append((self.leaf(s // 2, bool(s % 2)), coeff))
-        return self.sum_(pairs)
+        return self.sum_(key, pairs)
 
 
 #: A rebuilt gate is keyed ``(node, None)`` for the value of source node
@@ -351,22 +354,11 @@ def _resolve(gates: _GateTable,
     return kids, weight
 
 
-def _order_product_children(a: int, b: int, w: int, deg, desc) -> tuple[int, int]:
-    # heavier child first; ties broken toward the child that can reach w,
-    # then by id, so the derivative factor flows through the first child
-    if deg[a] != deg[b]:
-        return (a, b) if deg[a] > deg[b] else (b, a)
-    in_a = a == w or bool(desc[a] >> w & 1)
-    in_b = b == w or bool(desc[b] >> w & 1)
-    if in_a != in_b:
-        return (a, b) if in_a else (b, a)
-    return (a, b) if a < b else (b, a)
-
-
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the demand pass)."""
+    band construction and the demand pass).  A gate weight that
+    overflows raises :class:`NonFiniteValue` naming the gate."""
     if not circuit.is_binary():
         raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
@@ -378,14 +370,12 @@ def reduce_depth(circuit: Circuit) -> Circuit:
 
     deg = circuit.degrees
     desc = circuit.descendant_masks
-    cap = term_budget()
     arena = _Arena()
     gates: _GateTable = {}
-    polys = _LazyPolys(circuit, cap)
+    polys = _LazyPolys(circuit, term_budget())
 
-    # frontier masks per threshold on demand, children per product
+    # frontier masks per threshold on demand
     binary_products = _binary_products(circuit)
-    product_children = {t: (a, b) for t, a, b in binary_products}
 
     @cache
     def frontier(m: int) -> int:
@@ -404,10 +394,12 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             raise MissingGate(f"no frontier product below node {u} at threshold {m}")
         summands = []
         for t in below:
-            a, b = product_children[t]
+            a, b = circuit.nodes[t].children
             if w is not None:
-                t1, t2 = _order_product_children(a, b, w, deg, desc)
-                if t1 != w and not desc[t1] >> w & 1:
+                # the derivative flows through the heavier child t1; on a
+                # degree tie neither child reaches w, as deg(t) < 2 deg(w)
+                t1, t2 = (a, b) if deg[a] > deg[b] else (b, a)
+                if not desc[t1] >> w & 1:
                     continue  # derivative cannot flow through t1: zero summand
                 a, b = t2, t1
             summands.append(((a, None), (b, w), (u, t)))
@@ -445,7 +437,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         if deg[v] == 1:
             node = circuit.nodes[v]
             gates[v, None] = (arena.leaf(node.var, node.negated) if isinstance(node, Leaf)
-                              else arena.affine_gate(polys.get(v)))
+                              else arena.affine_gate((v, None), polys.get(v)))
 
     # derivative gates at degree gap <= 1 (gap zero folds to a constant,
     # gap one is affine over a single variable), one ancestor sweep per
@@ -456,9 +448,9 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         within = 0
         for u in us:
             within |= desc[u]
-        derivs = _ancestor_derivatives(circuit, w, cap, within=within, polys=polys)
+        derivs = _ancestor_derivatives(polys, w, within)
         for u in us:
-            gates[u, w] = 1.0 if u == w else arena.affine_gate(derivs[u])
+            gates[u, w] = arena.affine_gate((u, w), derivs[u])
 
     # band gates: per band, values by node, then derivative pairs by
     # (u, w), which read the band's values
@@ -471,7 +463,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 continue
             kids, weight = folded
             products.append((arena.product(kids), weight))
-        gates[key] = arena.sum_(products) if products else 0.0
+        gates[key] = arena.sum_(key, products) if products else 0.0
 
     root_gate = gates.get((circuit.root, None))
     if root_gate is None:

@@ -206,6 +206,12 @@ def test_module_errors_exit_one(tmp_path, capsys):
     for trials in ("0", "-3"):
         code, out, err = run(capsys, "equiv", "--a", a, "--b", b, "--trials", trials)
         assert code == 1 and out == "" and err.startswith("error:")
+    overflow = str(tmp_path / "overflow.json")
+    write_circuit(pt.build_circuit(1, [pt.Leaf(0), pt.Leaf(0, True),
+                                       pt.Sum((0, 1), (1e308, 1e308))], 2), overflow)
+    code, _, err = run(capsys, "transform", "--pass", "normalize", "--in", overflow,
+                       "--out", str(tmp_path / "n.json"))
+    assert code == 1 and err.startswith("error:")
 
 
 def test_term_budget_env(tmp_path, capsys, monkeypatch):

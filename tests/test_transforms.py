@@ -9,6 +9,7 @@ from pctree.circuit import Circuit, Leaf, Product, Sum
 from pctree.errors import (
     DanglingChild,
     InvalidInput,
+    NonFiniteValue,
     NotBinary,
     NotHomogeneous,
     SizeBudgetExceeded,
@@ -96,6 +97,18 @@ def test_normalize_rejects_zero_total():
     c = Circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.0, 0.0))], 2)
     with pytest.raises(ZeroWeightSum):
         pt.normalize(c)
+
+
+def test_normalize_rejects_overflow():
+    # an infinite total would leave all-zero weights and an infinite constant
+    wide = build_circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (1e308, 1e308))], 2)
+    with pytest.raises(NonFiniteValue, match="sum 2"):
+        pt.normalize(wide)
+    scaled = build_circuit(2, [Leaf(0), Leaf(0, True), Sum((0, 1), (1e200, 1e200)),
+                               Leaf(1), Leaf(1, True), Sum((3, 4), (1e200, 1e200)),
+                               Product((2, 5))], 6)
+    with pytest.raises(NonFiniteValue, match="product 6"):
+        pt.normalize(scaled)
 
 
 # -- partial derivatives -------------------------------------------------------
@@ -270,6 +283,17 @@ def test_reduce_depth_requires_binary_valid_input():
         pt.reduce_depth(lopsided)
 
 
+def test_reduce_depth_rejects_overflowing_weights():
+    # the three stacked weights fold into one constant of 1e600
+    c = build_circuit(4, [Leaf(0), Leaf(1), Leaf(2), Leaf(3),
+                          Product((0, 1)), Product((2, 3)), Product((4, 5)),
+                          Sum((6,), (1e200,)), Sum((7,), (1e200,)), Sum((8,), (1e200,))], 9)
+    with pytest.raises(NonFiniteValue, match=r"\(9, None\)"):
+        pt.reduce_depth(c)
+    with pytest.raises(NonFiniteValue, match=r"\(9, None\)"):
+        pt.treeify(c)
+
+
 def test_reduce_depth_deterministic():
     c = pt.binarize(pt.random_valid_pc(pt.GenParams(n=8, seed=1, reuse_prob=0.4)))
     a = pt.reduce_depth(c)
@@ -383,6 +407,21 @@ def test_pipeline_handles_zero_weights_wires_and_repeated_children():
     tree, _ = pt.treeify(c)
     assert tree.stats().is_tree
     assert pt.poly_equal(reference, pt.extract_polynomial(tree), 1e-9)
+    # zero-weight edges in shared DAGs make constant-zero gates, which the
+    # reducer folds away rather than multiplying into a summand's weight
+    for seed in range(6):
+        dag = pt.random_valid_pc(pt.GenParams(n=8, seed=seed, reuse_prob=0.5))
+        rng = random.Random(seed)
+        nodes = list(dag.nodes)
+        for v, node in enumerate(nodes):
+            if isinstance(node, Sum) and len(node.children) > 1 and rng.random() < 0.4:
+                weights = list(node.weights)
+                weights[rng.randrange(len(weights))] = 0.0
+                nodes[v] = Sum(node.children, tuple(weights))
+        zeroed = build_circuit(dag.num_vars, nodes, dag.root)
+        reduced = pt.reduce_depth(pt.binarize(zeroed))
+        assert pt.poly_equal(pt.extract_polynomial(zeroed), pt.extract_polynomial(reduced))
+        assert all(0.0 not in node.weights for node in reduced.nodes if isinstance(node, Sum))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
