@@ -10,10 +10,11 @@ variable out, and at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
 pass over the stored topological order; the per-node tables (scopes,
-degrees, descendant and ancestor masks) are cached on the instance, while
-:meth:`Circuit.validity` and :meth:`Circuit.stats` recompute on every
-call.  Transforms elsewhere in the package always build fresh circuits,
-so instances are safe to share across threads.
+degrees, descendant and ancestor masks) and the flat evaluation plan that
+:meth:`Circuit.evaluate` runs are built on first use and cached on the
+instance, while :meth:`Circuit.validity` and :meth:`Circuit.stats`
+recompute on every call.  Transforms elsewhere in the package always
+build fresh circuits, so instances are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -49,10 +50,6 @@ class Leaf:
     var: int
     negated: bool = False
 
-    @cached_property
-    def slot(self) -> int:
-        return slot(self.var, self.negated)
-
 
 @dataclass(frozen=True)
 class Sum:
@@ -77,6 +74,10 @@ class Product:
 
 
 Node = Union[Leaf, Sum, Product]
+
+# evaluation plan step shapes: sums of one, two and more children,
+# products of two children and of any other number
+_SUM1, _SUM2, _SUMN, _PROD2, _PRODN = range(5)
 
 
 def _children(node: Node) -> tuple[int, ...]:
@@ -280,25 +281,68 @@ class Circuit:
 
     # -- evaluation -----------------------------------------------------------
 
-    def evaluate(self, assignment: Sequence[float]) -> float:
-        """Bottom-up evaluation; ``assignment[2*i]`` feeds ``x_i`` and
-        ``assignment[2*i + 1]`` feeds ``~x_i``."""
-        if len(assignment) != 2 * self.num_vars:
-            raise AssignmentLengthMismatch(
-                f"expected {2 * self.num_vars} slot values, got {len(assignment)}")
-        vals = [0.0] * len(self.nodes)
+    @cached_property
+    def _evaluation_plan(self) -> tuple[list[int], list[tuple]]:
+        """The program :meth:`evaluate` runs: the distinct indicator slots
+        the leaves read, in order of first use in ``topo_order``, then one
+        step per internal node in ``topo_order``.  A step reads positions
+        in the value list (slot values first, then step results), so the
+        root's value is the last one."""
+        pos = [0] * len(self.nodes)
+        at: dict[int, int] = {}  # slot -> position, in order of first use
         for v in self.topo_order:
             node = self.nodes[v]
             if isinstance(node, Leaf):
-                vals[v] = float(assignment[node.slot])
-            elif isinstance(node, Sum):
-                vals[v] = sum(w * vals[ch] for ch, w in zip(node.children, node.weights))
+                pos[v] = at.setdefault(slot(node.var, node.negated), len(at))
+        steps: list[tuple] = []
+        for v in self.topo_order:
+            node = self.nodes[v]
+            if isinstance(node, Leaf):
+                continue
+            kids = [pos[ch] for ch in node.children]
+            if isinstance(node, Product):
+                step = ((_PROD2, kids[0], kids[1], 0.0, 0.0) if len(kids) == 2
+                        else (_PRODN, tuple(kids), 0, 0.0, 0.0))
+            elif len(kids) == 1:
+                step = (_SUM1, kids[0], 0, node.weights[0], 0.0)
+            elif len(kids) == 2:
+                step = (_SUM2, kids[0], kids[1], *node.weights)
+            else:
+                step = (_SUMN, tuple(zip(kids, node.weights)), 0, 0.0, 0.0)
+            pos[v] = len(at) + len(steps)
+            steps.append(step)
+        return list(at), steps
+
+    def evaluate(self, assignment: Sequence[float]) -> float:
+        """Bottom-up evaluation; ``assignment[2*i]`` feeds ``x_i`` and
+        ``assignment[2*i + 1]`` feeds ``~x_i``.
+
+        Runs the cached evaluation plan.  Every value equals, bit for bit,
+        what a per-node loop gives with ``sum()`` over each sum's weighted
+        children and a running product over each product's children."""
+        if len(assignment) != 2 * self.num_vars:
+            raise AssignmentLengthMismatch(
+                f"expected {2 * self.num_vars} slot values, got {len(assignment)}")
+        slots, steps = self._evaluation_plan
+        vals = [float(assignment[s]) for s in slots]
+        push = vals.append
+        for op, a, b, wa, wb in steps:
+            # ``0.0 +`` as in sum(), which starts at 0: -0.0 terms total +0.0
+            if op == _SUM2:
+                push(0.0 + wa * vals[a] + wb * vals[b])
+            elif op == _PROD2:
+                push(vals[a] * vals[b])
+            elif op == _SUM1:
+                push(0.0 + wa * vals[a])
+            elif op == _SUMN:
+                # sum() rounds 3+ terms differently from a left fold on 3.12+
+                push(sum([w * vals[ch] for ch, w in a]))
             else:
                 acc = 1.0
-                for ch in node.children:
+                for ch in a:
                     acc *= vals[ch]
-                vals[v] = acc
-        return vals[self.root]
+                push(acc)
+        return vals[-1]
 
     # -- analyses -------------------------------------------------------------
 

@@ -358,7 +358,9 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
     band construction and the demand pass).  A gate weight that
-    overflows raises :class:`NonFiniteValue` naming the gate."""
+    overflows raises :class:`NonFiniteValue` naming the gate, and a root
+    polynomial that underflows to zero raises :class:`ZeroWeightSum`
+    naming the root."""
     if not circuit.is_binary():
         raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
@@ -469,7 +471,10 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     if root_gate is None:
         raise MissingGate("value gate of the root was never built")
     if isinstance(root_gate, float):
-        raise MissingGate("root gate folded to a constant")
+        # the root has degree >= 1, so a constant gate is a polynomial
+        # whose every coefficient underflowed to zero
+        raise ZeroWeightSum(f"root {circuit.root}: every coefficient of its polynomial "
+                            f"underflows to zero")
     return _compact(arena, circuit.num_vars, root_gate)
 
 

@@ -14,7 +14,26 @@ import json
 from fractions import Fraction
 
 from pctree import SparsePolynomial
-from pctree.circuit import Circuit, Leaf, Product, Sum
+from pctree.circuit import Circuit, Leaf, Product, Sum, slot
+
+
+def float_evaluate(c: Circuit, assignment: list[float]) -> float:
+    """Per-node float evaluation: ``sum()`` over each sum's weighted
+    children, a running product over each product's children.
+    ``Circuit.evaluate`` must reproduce it bit for bit."""
+    vals = [0.0] * len(c.nodes)
+    for v in c.topo_order:
+        node = c.nodes[v]
+        if isinstance(node, Leaf):
+            vals[v] = float(assignment[slot(node.var, node.negated)])
+        elif isinstance(node, Sum):
+            vals[v] = sum(w * vals[ch] for ch, w in zip(node.children, node.weights))
+        else:
+            acc = 1.0
+            for ch in node.children:
+                acc *= vals[ch]
+            vals[v] = acc
+    return vals[c.root]
 
 
 def fraction_evaluate(c: Circuit, point: list[Fraction]) -> Fraction:
@@ -22,7 +41,7 @@ def fraction_evaluate(c: Circuit, point: list[Fraction]) -> Fraction:
     for v in c.topo_order:
         node = c.nodes[v]
         if isinstance(node, Leaf):
-            vals[v] = point[node.slot]
+            vals[v] = point[slot(node.var, node.negated)]
         elif isinstance(node, Sum):
             vals[v] = sum((Fraction(w) * vals[ch]
                            for ch, w in zip(node.children, node.weights)), Fraction(0))

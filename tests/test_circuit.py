@@ -139,6 +139,41 @@ def test_evaluate_affine_per_slot(small_corpus):
                                 rel_tol=1e-9, abs_tol=1e-9)
 
 
+def test_evaluate_matches_float_loop_exactly():
+    from oracles import float_evaluate
+
+    circuits = []
+    for n in (8, 16, 32):
+        for seed in range(3):
+            circuits.append(pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=0.5)))
+    circuits += [pt.build_hard_instance(k) for k in (2, 3, 4)]
+    circuits += [pt.treeify(c, normalize_output=True)[0] for c in circuits]
+    # at the int point, x_i = 0 and ~x_i = -1 make these products -0.0,
+    # which sum() totals to +0.0 over one child and over two
+    neg_zero = [Leaf(0), Leaf(1, True), Leaf(2, True), Product((0, 1)), Product((0, 2))]
+    circuits.append(build_circuit(3, neg_zero + [Sum((3, 4), (0.5, 0.5))], 5))
+    circuits.append(build_circuit(2, neg_zero[:2] + [Product((0, 1)), Sum((2,), (1.0,))], 3))
+
+    shapes = set()
+    for c in circuits:
+        for node in c.nodes:
+            if not isinstance(node, Leaf):
+                shapes.add((type(node).__name__, min(len(node.children), 3)))
+    assert shapes >= {("Sum", 1), ("Sum", 2), ("Sum", 3), ("Product", 2), ("Product", 3)}
+    assert circuits[11].stats().max_fanout == 130  # hard k=4
+
+    rng = random.Random(11)
+    for c in circuits:
+        width = 2 * c.num_vars
+        points = [[rng.uniform(-2.0, 2.0) for _ in range(width)] for _ in range(2)]
+        points.append(pt.boolean_assignment([rng.randint(0, 1) for _ in range(c.num_vars)]))
+        points.append([0, -1] * c.num_vars)  # Python ints
+        for a in points:
+            got, want = c.evaluate(a), float_evaluate(c, a)
+            # equal to the last bit, the sign of a zero included
+            assert got == want and repr(got) == repr(want)
+
+
 def test_marginal_slots_sum_out_a_variable(small_corpus):
     # setting x and ~x both to one sums the polynomial over that variable
     rng = random.Random(1)

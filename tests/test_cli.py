@@ -156,7 +156,8 @@ def test_export_dot(tmp_path):
     dot = str(tmp_path / "out.dot")
     main(["gen-hard", "--k", "1", "--out", src])
     assert main(["export-dot", "--in", src, "--out", dot]) == 0
-    text = open(dot).read()
+    with open(dot, encoding="utf-8") as fh:
+        text = fh.read()
     assert text.startswith("digraph circuit {")
     assert text.count("->") == 10
 

@@ -294,6 +294,19 @@ def test_reduce_depth_rejects_overflowing_weights():
         pt.treeify(c)
 
 
+def test_reduce_depth_rejects_underflowing_weights():
+    # the three stacked weights fold into one constant of 1e-600, which is 0.0
+    c = build_circuit(4, [Leaf(0), Leaf(1), Leaf(2), Leaf(3),
+                          Product((0, 1)), Product((2, 3)), Product((4, 5)),
+                          Sum((6,), (1e-200,)), Sum((7,), (1e-200,)), Sum((8,), (1e-200,))], 9)
+    with pytest.raises(ZeroWeightSum, match=r"root 9: .* underflows"):
+        pt.reduce_depth(c)
+    with pytest.raises(ZeroWeightSum, match=r"root 9: .* underflows"):
+        pt.treeify(c)
+    with pytest.raises(ZeroWeightSum, match="sum 8"):
+        pt.normalize(c)
+
+
 def test_reduce_depth_deterministic():
     c = pt.binarize(pt.random_valid_pc(pt.GenParams(n=8, seed=1, reuse_prob=0.4)))
     a = pt.reduce_depth(c)
