@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .circuit import Circuit, Leaf, Sum, _bits, slot
 from .errors import (
+    AssignmentLengthMismatch,
     KTooLarge,
     NonFiniteValue,
     NotMultilinear,
@@ -160,7 +161,7 @@ class SparsePolynomial:
 
     def evaluate(self, assignment: Sequence[float]) -> float:
         if len(assignment) != 2 * self.num_vars:
-            raise VarCountMismatch(
+            raise AssignmentLengthMismatch(
                 f"expected {2 * self.num_vars} slot values, got {len(assignment)}")
         total = 0.0
         for m, c in self.terms.items():
@@ -195,8 +196,6 @@ def poly_equal(p: SparsePolynomial, q: SparsePolynomial, tol: float = 0.0) -> bo
         raise VarCountMismatch(f"{p.num_vars} vs {q.num_vars} variables")
     if p.terms.keys() != q.terms.keys():
         return False
-    if tol == 0.0:
-        return all(q.terms[m] == c for m, c in p.terms.items())
     return all(math.isclose(q.terms[m], c, rel_tol=tol) for m, c in p.terms.items())
 
 
@@ -207,7 +206,7 @@ def extract_polynomial(c: Circuit) -> SparsePolynomial:
     outgrows the monomial budget (:func:`term_budget`), so infeasible
     circuits fail loudly instead of exhausting memory.
     """
-    return node_polynomials(c)[c.root]
+    return _Expander(c).get(c.root)
 
 
 def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0,
@@ -270,28 +269,47 @@ def pairing_polynomial(k: int) -> SparsePolynomial:
 def node_polynomials(c: Circuit) -> list[SparsePolynomial]:
     """Exact polynomial of every node, in id order (same budget rule as
     :func:`extract_polynomial`)."""
-    polys: list[SparsePolynomial | None] = [None] * len(c.nodes)
-    _expand(c, c.topo_order, polys, term_budget())
-    return polys  # type: ignore[return-value]
+    polys = _Expander(c)
+    polys.get(c.root)  # every node lies below the root
+    return [polys.memo[v] for v in range(len(c.nodes))]
 
 
-def _expand(c: Circuit, order: Iterable[int],
-            memo: list[SparsePolynomial | None] | dict[int, SparsePolynomial], cap: int) -> None:
-    """Store in ``memo`` (a list or dict indexed by node id) the polynomial
-    of every node in ``order``, which lists children before parents; every
-    child outside ``order`` must already be in ``memo``."""
-    for v in order:
-        node = c.nodes[v]
-        if isinstance(node, Leaf):
-            p = SparsePolynomial.indicator(c.num_vars, node.var, node.negated)
-        elif isinstance(node, Sum):
-            p = SparsePolynomial.zero(c.num_vars)
-            for ch, w in zip(node.children, node.weights):
-                p = p.add(memo[ch], w)
-        else:
-            p = SparsePolynomial.constant(c.num_vars, 1.0)
-            for ch in node.children:
-                p = p.mul(memo[ch], max_terms=cap)
-        if len(p.terms) > cap:
-            raise TermBudgetExceeded(f"node {v} expands past {cap} monomials")
-        memo[v] = p
+class _Expander:
+    """Memoized exact node polynomials of one circuit, expanded on demand
+    under the :func:`term_budget` cap."""
+
+    def __init__(self, c: Circuit):
+        self.c = c
+        self.cap = term_budget()
+        self.memo: dict[int, SparsePolynomial] = {}
+
+    def get(self, v: int) -> SparsePolynomial:
+        """``v``'s polynomial; an iterative post-order walk expands the
+        part of its sub-DAG that is not memoized yet, children first."""
+        c, memo, cap = self.c, self.memo, self.cap
+        stack = [v]
+        while stack:
+            u = stack[-1]
+            if u in memo:
+                stack.pop()
+                continue
+            missing = [ch for ch in c.children(u) if ch not in memo]
+            if missing:
+                stack.extend(missing)
+                continue
+            node = c.nodes[u]
+            if isinstance(node, Leaf):
+                p = SparsePolynomial.indicator(c.num_vars, node.var, node.negated)
+            elif isinstance(node, Sum):
+                p = SparsePolynomial.zero(c.num_vars)
+                for ch, w in zip(node.children, node.weights):
+                    p = p.add(memo[ch], w)
+            else:
+                p = SparsePolynomial.constant(c.num_vars, 1.0)
+                for ch in node.children:
+                    p = p.mul(memo[ch], max_terms=cap)
+            if len(p.terms) > cap:
+                raise TermBudgetExceeded(f"node {u} expands past {cap} monomials")
+            memo[u] = p
+            stack.pop()
+        return memo[v]

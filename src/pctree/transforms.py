@@ -55,7 +55,7 @@ from .errors import (
     SizeBudgetExceeded,
     ZeroWeightSum,
 )
-from .poly import SparsePolynomial, _expand, term_budget
+from .poly import SparsePolynomial, _Expander
 
 #: Default node budget for tree expansion; the worst case is exponential
 #: in the depth of the input, so expansion is always pre-counted.
@@ -186,26 +186,7 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
 # partial derivatives
 # ---------------------------------------------------------------------------
 
-class _LazyPolys:
-    """Memoized exact node polynomials, expanded only on demand."""
-
-    def __init__(self, c: Circuit, cap: int):
-        self.c = c
-        self.cap = cap
-        self.memo: dict[int, SparsePolynomial] = {}
-
-    def get(self, s: int) -> SparsePolynomial:
-        memo = self.memo
-        if s in memo:
-            return memo[s]
-        c = self.c
-        pending = [u for u in _bits(c.descendant_masks[s]) if u not in memo]
-        pending.sort(key=c.topo_positions.__getitem__)
-        _expand(c, pending, memo, self.cap)
-        return memo[s]
-
-
-def _ancestor_derivatives(polys: _LazyPolys, w: int, within: int) -> dict[int, SparsePolynomial]:
+def _ancestor_derivatives(polys: _Expander, w: int, within: int) -> dict[int, SparsePolynomial]:
     """Partial derivatives ``d_w f(u)`` for the ancestors ``u`` of ``w``
     in the node-id bitmask ``within``, ``w`` itself (1.0) included.
 
@@ -252,7 +233,7 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     n = len(c.nodes)
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
-    alphas = _ancestor_derivatives(_LazyPolys(c, term_budget()), w, c.descendant_masks[v])
+    alphas = _ancestor_derivatives(_Expander(c), w, c.descendant_masks[v])
     return alphas.get(v, SparsePolynomial.zero(c.num_vars))
 
 
@@ -374,7 +355,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     desc = circuit.descendant_masks
     arena = _Arena()
     gates: _GateTable = {}
-    polys = _LazyPolys(circuit, term_budget())
+    polys = _Expander(circuit)
 
     # frontier masks per threshold on demand
     binary_products = _binary_products(circuit)

@@ -48,6 +48,13 @@ def test_dangling_child_rejected():
         build_circuit(1, [Leaf(0), Sum((0, 5), (1.0, 1.0))], 1)
     with pytest.raises(DanglingChild):
         build_circuit(1, [Leaf(3)], 0)  # variable out of range
+    for root in (-1, 1):
+        with pytest.raises(DanglingChild, match="root id"):
+            build_circuit(1, [Leaf(0)], root)
+    with pytest.raises(ValueError, match="num_vars"):
+        build_circuit(0, [Leaf(0)], 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        build_circuit(1, [], 0)
 
 
 def test_bad_weights_rejected():
@@ -60,6 +67,8 @@ def test_bad_weights_rejected():
         build_circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.0, 0.0))], 2)
     with pytest.raises(EmptyProductNode):
         build_circuit(1, [Product(())], 0)
+    with pytest.raises(BadWeights, match="sum 1 has no children"):
+        build_circuit(1, [Leaf(0), Sum((), ()), Product((0, 1))], 2)
 
 
 def test_negative_weights_representable_but_not_monotone():

@@ -7,6 +7,7 @@ import pctree as pt
 from pctree import SparsePolynomial, build_circuit
 from pctree.circuit import Leaf, Product, Sum
 from pctree.errors import (
+    AssignmentLengthMismatch,
     KTooLarge,
     NonFiniteValue,
     NotMultilinear,
@@ -92,6 +93,8 @@ def test_extract_then_evaluate_consistency(small_corpus):
         for _ in range(5):
             a = [rng.uniform(0.0, 3.0) for _ in range(2 * c.num_vars)]
             assert math.isclose(p.evaluate(a), c.evaluate(a), rel_tol=1e-9)
+        with pytest.raises(AssignmentLengthMismatch):
+            p.evaluate([1.0] * (2 * c.num_vars - 1))
 
 
 def test_term_budget(monkeypatch):

@@ -105,6 +105,23 @@ def test_schema_errors():
     with pytest.raises(SchemaError):
         circuit_from_document([base])
 
+    def broken(edit):
+        doc = json.loads(HARD_K1_DOCUMENT)
+        edit(doc)
+        return doc
+
+    cases = [
+        (lambda d: d.update(num_vars="4"), "'num_vars' must be an integer"),
+        (lambda d: d.update(comment="extra"), "document keys"),
+        (lambda d: d.update(nodes=[]), "non-empty list"),
+        (lambda d: d.update(nodes=[[0, "leaf", 0]] + d["nodes"][1:]), "JSON object"),
+        (lambda d: d["nodes"][4].update(children=[0, 1, 5, 6.0]), "list of integers"),
+        (lambda d: d["nodes"][10].update(weights=["1", "1"]), "list of numbers"),
+    ]
+    for edit, message in cases:
+        with pytest.raises(SchemaError, match=message):
+            circuit_from_document(broken(edit))
+
 
 def test_structural_errors_propagate():
     doc = {"version": 1, "num_vars": 1, "root": 0, "nodes": [

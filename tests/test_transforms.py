@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -400,6 +401,46 @@ def test_treeify_hard_instance_deep_fanin():
     assert reduced.stage == "reduce_depth"
     assert reduced.depth <= 2 * 6 + 1  # root degree 64
     assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(tree), 1e-9)
+
+
+def test_exact_expansion_of_deep_and_wide_inputs():
+    # a chain of single-child sums deeper than the recursion limit: every
+    # exact expansion must walk it iteratively
+    depth = 3000
+    nodes = [Leaf(0), Leaf(0, True), Sum((0, 1), (0.25, 0.75))]
+    for _ in range(depth):
+        nodes.append(Sum((len(nodes) - 1,), (1.0,)))
+    chain = build_circuit(1, nodes, len(nodes) - 1)
+    assert depth > sys.getrecursionlimit()
+    p = pt.extract_polynomial(chain)
+    assert p.terms == {0b01: 0.25, 0b10: 0.75}
+    assert pt.node_polynomials(chain)[2:] == [p] * (depth + 1)
+    assert pt.partial_derivative(chain, chain.root, 2) == SparsePolynomial.constant(1, 1.0)
+    assert pt.poly_equal(pt.extract_polynomial(pt.reduce_depth(chain)), p)
+    # a wide sum of one variable's mixtures per variable: binarize turns
+    # each into a long chain of degree-one nodes
+    n, k = 8, 200
+    nodes, wide = [], []
+    for var in range(n):
+        nodes += [Leaf(var), Leaf(var, True)]
+        pos = len(nodes) - 2
+        for j in range(k):
+            w = (j + 1) / (k + 1)
+            nodes.append(Sum((pos, pos + 1), (w, 1.0 - w)))
+        nodes.append(Sum(tuple(range(len(nodes) - k, len(nodes))), (1.0 / k,) * k))
+        wide.append(len(nodes) - 1)
+    root = wide[0]
+    for w in wide[1:]:
+        nodes.append(Product((root, w)))
+        root = len(nodes) - 1
+    mixtures = build_circuit(n, nodes, root)
+    tree, _ = pt.treeify(mixtures)
+    assert tree.stats().depth <= 2 * (n - 1).bit_length() + 1
+    got = pt.extract_polynomial(tree)
+    # exact against the binarized input; binarize regroups each wide sum,
+    # so the flat input's coefficients differ in the last bits
+    assert pt.poly_equal(pt.extract_polynomial(pt.binarize(mixtures)), got)
+    assert pt.poly_equal(pt.extract_polynomial(mixtures), got, 1e-12)
 
 
 def test_pipeline_handles_zero_weights_wires_and_repeated_children():
