@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .circuit import Circuit, Leaf, Sum, _bits, slot
+from .circuit import Circuit, Leaf, Product, Sum, _bits, slot
 from .errors import (
     AssignmentLengthMismatch,
     KTooLarge,
@@ -115,11 +115,15 @@ class SparsePolynomial:
         degs = {m.bit_count() for m in self.terms}
         return len(degs) <= 1
 
-    def variables(self) -> frozenset[int]:
+    def _slots(self) -> int:
+        """Bitmask of every indicator slot some monomial uses."""
         used = 0
         for m in self.terms:
             used |= m
-        return frozenset(s // 2 for s in _bits(used))
+        return used
+
+    def variables(self) -> frozenset[int]:
+        return frozenset(s // 2 for s in _bits(self._slots()))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -138,18 +142,16 @@ class SparsePolynomial:
         return SparsePolynomial(self.num_vars, {m: factor * c for m, c in self.terms.items()})
 
     def mul(self, other: "SparsePolynomial", max_terms: int | None = None) -> "SparsePolynomial":
+        # disjoint slots make every monomial product distinct: nothing
+        # accumulates, and only products that underflow to zero are dropped
+        if self._slots() & other._slots():
+            raise NotMultilinear("product would raise an indicator slot to a power above one")
         out: dict[int, float] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                if m1 & m2:
-                    raise NotMultilinear(
-                        "product would raise an indicator slot to a power above one")
-                m = m1 | m2
-                acc = out.get(m, 0.0) + c1 * c2
-                if acc == 0.0:
-                    out.pop(m, None)
-                else:
-                    out[m] = acc
+                c = c1 * c2
+                if c != 0.0:
+                    out[m1 | m2] = c
             if max_terms is not None and len(out) > max_terms:
                 raise TermBudgetExceeded(f"product exceeds {max_terms} monomials")
         return SparsePolynomial._of(self.num_vars, out)
@@ -275,41 +277,85 @@ def node_polynomials(c: Circuit) -> list[SparsePolynomial]:
 
 
 class _Expander:
-    """Memoized exact node polynomials of one circuit, expanded on demand
-    under the :func:`term_budget` cap."""
+    """Memoized exact node polynomials of one circuit, and their partial
+    derivatives, expanded on demand under the :func:`term_budget` cap."""
 
     def __init__(self, c: Circuit):
         self.c = c
         self.cap = term_budget()
         self.memo: dict[int, SparsePolynomial] = {}
 
-    def get(self, v: int) -> SparsePolynomial:
-        """``v``'s polynomial; an iterative post-order walk expands the
-        part of its sub-DAG that is not memoized yet, children first."""
-        c, memo, cap = self.c, self.memo, self.cap
+    def _walk(self, v: int, done: dict[int, SparsePolynomial], rule: Callable,
+              w: int | None = None) -> SparsePolynomial:
+        """``done[v]``, after an iterative post-order walk has set ``done[u] =
+        rule(u)`` for each node ``u`` below ``v`` missing there; deriving by
+        ``w``, it enters no child of degree below ``deg(w)``, as degrees
+        never grow downward.  A result past the cap names ``u`` or ``(u, w)``."""
+        c, cap, deg = self.c, self.cap, self.c.degrees
+        low = 0 if w is None else deg[w]
         stack = [v]
         while stack:
             u = stack[-1]
-            if u in memo:
+            if u in done:
                 stack.pop()
                 continue
-            missing = [ch for ch in c.children(u) if ch not in memo]
+            missing = [ch for ch in c.children(u) if ch not in done and deg[ch] >= low]
             if missing:
                 stack.extend(missing)
                 continue
+            try:
+                p = rule(u)
+            except TermBudgetExceeded:
+                p = None  # a product inside the rule outgrew the cap
+            if p is None or len(p.terms) > cap:
+                where = f"node {u}" if w is None else f"derivative of node {u} by node {w}"
+                raise TermBudgetExceeded(f"{where} expands past {cap} monomials")
+            done[u] = p
+        return done[v]
+
+    def get(self, v: int) -> SparsePolynomial:
+        """``v``'s polynomial, expanding the part not memoized yet."""
+        return self._walk(v, self.memo, self._value)
+
+    def _value(self, u: int) -> SparsePolynomial:
+        node, n = self.c.nodes[u], self.c.num_vars
+        if isinstance(node, Leaf):
+            return SparsePolynomial.indicator(n, node.var, node.negated)
+        if isinstance(node, Sum):
+            p = SparsePolynomial.zero(n)
+            for ch, w in zip(node.children, node.weights):
+                p = p.add(self.memo[ch], w)
+            return p
+        p = SparsePolynomial.constant(n, 1.0)
+        for ch in node.children:
+            p = p.mul(self.memo[ch], max_terms=self.cap)
+        return p
+
+    def derivatives(self, w: int, targets: Sequence[int]) -> dict[int, SparsePolynomial]:
+        """``d_w f(u)`` for each target ``u`` by the chain rule, memoized for
+        this call; nodes that do not reach ``w`` give zero, and the product
+        rule's co-factors come from :meth:`get`."""
+        c, n = self.c, self.c.num_vars
+        d = {w: SparsePolynomial.constant(n, 1.0)}
+
+        def chain_rule(u: int) -> SparsePolynomial:
             node = c.nodes[u]
-            if isinstance(node, Leaf):
-                p = SparsePolynomial.indicator(c.num_vars, node.var, node.negated)
-            elif isinstance(node, Sum):
-                p = SparsePolynomial.zero(c.num_vars)
-                for ch, w in zip(node.children, node.weights):
-                    p = p.add(memo[ch], w)
-            else:
-                p = SparsePolynomial.constant(c.num_vars, 1.0)
-                for ch in node.children:
-                    p = p.mul(memo[ch], max_terms=cap)
-            if len(p.terms) > cap:
-                raise TermBudgetExceeded(f"node {u} expands past {cap} monomials")
-            memo[u] = p
-            stack.pop()
-        return memo[v]
+            p = SparsePolynomial.zero(n)
+            if isinstance(node, Sum):
+                for ch, wt in zip(node.children, node.weights):
+                    if ch in d:
+                        p = p.add(d[ch], wt)
+            elif isinstance(node, Product):
+                # decomposability means at most one child can reach w,
+                # but the sum over children stays correct without it
+                for j, ch in enumerate(node.children):
+                    term = d.get(ch)
+                    if term is None or term.is_zero():
+                        continue
+                    for i, other in enumerate(node.children):
+                        if i != j:
+                            term = term.mul(self.get(other), max_terms=self.cap)
+                    p = p.add(term)
+            return p
+
+        return {u: self._walk(u, d, chain_rule, w) for u in targets}

@@ -64,7 +64,7 @@ def circuit_from_document(doc: Any) -> Circuit:
     expected = {"version", "num_vars", "root", "nodes"}
     if set(doc) != expected:
         raise SchemaError(f"document keys must be exactly {sorted(expected)}")
-    if doc["version"] != 1:
+    if _expect_int(doc, "version", "document") != 1:
         raise SchemaError(f"unsupported document version {doc['version']!r}")
     num_vars = _expect_int(doc, "num_vars", "document")
     root = _expect_int(doc, "root", "document")

@@ -29,13 +29,14 @@ the three factor keys of each) and pushes those factors; keys at gap at
 most one are collected per ``w``.  Constant folding is not looked at, so
 the demand set is a superset of what the root reaches, and the final
 reachability pass drops the few leftovers.  The build pass then makes
-every indicator leaf and degree-one value, one ancestor sweep per
-demanded ``w`` for the shallow derivatives, and the planned gates band by
-band: values by node id, then derivative pairs by ``(u, w)``, since pairs
-read their band's values.  That is the order in which building every
-admissible gate would create them, so the gates the root reaches appear
-in the same relative order and the compacted output is the same node
-for node.
+every indicator leaf and degree-one value, the shallow derivatives by
+one chain-rule walk per demanded ``w`` (down from the ``u`` paired with
+it, entering no node of degree below ``deg(w)``), and the planned gates
+band by band: values by node id, then derivative pairs by ``(u, w)``,
+since pairs read their band's values.  That is the order in which
+building every admissible gate would create them, so the gates the root
+reaches appear in the same relative order and the compacted output is
+the same node for node.
 """
 
 from __future__ import annotations
@@ -107,6 +108,13 @@ def stage_metrics(stage: str, c: Circuit) -> StageMetrics:
     return StageMetrics(stage, s.num_nodes, s.num_edges, s.depth)
 
 
+def _require_binary(c: Circuit, message: str) -> None:
+    """Raise :class:`NotBinary` naming the first node with over two children."""
+    for v in range(len(c.nodes)):
+        if len(c.children(v)) > 2:
+            raise NotBinary(f"{message} (node {v} has {len(c.children(v))} children)")
+
+
 # ---------------------------------------------------------------------------
 # binarize
 # ---------------------------------------------------------------------------
@@ -122,7 +130,8 @@ def binarize(c: Circuit) -> Circuit:
     """
     report = c.validity()
     if not report.ok:
-        raise InvalidInput("binarize requires a decomposable, smooth circuit")
+        v, why = report.witnesses.get("decomposable") or report.witnesses["smooth"]
+        raise InvalidInput(f"binarize requires a decomposable, smooth circuit (node {v}: {why})")
     if c.is_binary():
         return c
     nodes: list[Node] = list(c.nodes)
@@ -186,46 +195,6 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
 # partial derivatives
 # ---------------------------------------------------------------------------
 
-def _ancestor_derivatives(polys: _Expander, w: int, within: int) -> dict[int, SparsePolynomial]:
-    """Partial derivatives ``d_w f(u)`` for the ancestors ``u`` of ``w``
-    in the node-id bitmask ``within``, ``w`` itself (1.0) included.
-
-    Substitutes an atom for ``w``'s polynomial and propagates the atom's
-    linear coefficient upward; the co-factor (the untouched sibling
-    polynomial) is expanded lazily, so the cost scales with the size of
-    the derivatives rather than of the full polynomials.
-    """
-    c, cap = polys.c, polys.cap
-    alpha: dict[int, SparsePolynomial] = {w: SparsePolynomial.constant(c.num_vars, 1.0)}
-    candidates = _bits(c.ancestor_masks[w] & within)
-    candidates.sort(key=c.topo_positions.__getitem__)
-    for u in candidates:
-        if u == w:
-            continue
-        node = c.nodes[u]
-        if isinstance(node, Sum):
-            p = SparsePolynomial.zero(c.num_vars)
-            for ch, wt in zip(node.children, node.weights):
-                a = alpha.get(ch)
-                if a is not None:
-                    p = p.add(a, wt)
-        else:
-            # product rule; decomposability means at most one child can
-            # reach w, but the sum over children stays correct without it
-            p = SparsePolynomial.zero(c.num_vars)
-            for j, ch in enumerate(node.children):
-                a = alpha.get(ch)
-                if a is None or a.is_zero():
-                    continue
-                term = a
-                for i, other in enumerate(node.children):
-                    if i != j:
-                        term = term.mul(polys.get(other), max_terms=cap)
-                p = p.add(term)
-        alpha[u] = p
-    return alpha
-
-
 def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     """Exact partial derivative of ``v``'s polynomial with respect to the
     polynomial of node ``w`` (the zero polynomial when ``w`` is not a
@@ -233,8 +202,7 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     n = len(c.nodes)
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
-    alphas = _ancestor_derivatives(_Expander(c), w, c.descendant_masks[v])
-    return alphas.get(v, SparsePolynomial.zero(c.num_vars))
+    return _Expander(c).derivatives(w, [v])[v]
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +226,7 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
     exceeds ``m`` while neither child's does."""
     if m < 1:
         raise ValueError("threshold m must be >= 1")
-    if not c.is_binary():
-        raise NotBinary("the degree frontier is defined for binary circuits")
+    _require_binary(c, "the degree frontier is defined for binary circuits")
     members = _straddling(_binary_products(c), c.degrees, m)
     return FrontierSet(m, frozenset(t for t, _, _ in members))
 
@@ -342,14 +309,13 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     overflows raises :class:`NonFiniteValue` naming the gate, and a root
     polynomial that underflows to zero raises :class:`ZeroWeightSum`
     naming the root."""
-    if not circuit.is_binary():
-        raise NotBinary("depth reduction requires fan-out <= 2; binarize first")
+    _require_binary(circuit, "depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
-    if not (report.decomposable and report.smooth and report.homogeneous):
-        failed = [name for name in ("decomposable", "smooth", "homogeneous")
-                  if not getattr(report, name)]
-        raise NotHomogeneous(
-            f"depth reduction requires a valid homogeneous circuit (failed: {', '.join(failed)})")
+    failed = [name for name in ("decomposable", "smooth", "homogeneous") if name in report.witnesses]
+    if failed:
+        v, why = report.witnesses[failed[0]]
+        raise NotHomogeneous(f"depth reduction requires a valid homogeneous circuit "
+                             f"(failed: {', '.join(failed)}; node {v}: {why})")
 
     deg = circuit.degrees
     desc = circuit.descendant_masks
@@ -423,15 +389,11 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                               else arena.affine_gate((v, None), polys.get(v)))
 
     # derivative gates at degree gap <= 1 (gap zero folds to a constant,
-    # gap one is affine over a single variable), one ancestor sweep per
-    # ``w`` limited to the demanded ancestors' sub-DAGs; degrees never grow
-    # downward, so every ancestor of ``w`` in there is within gap one
+    # gap one is affine over a single variable), one derivative walk per
+    # ``w`` down from its demanded ``u``s, pruned below ``deg(w)``
     for w in sorted(shallow):
         us = sorted(shallow[w])
-        within = 0
-        for u in us:
-            within |= desc[u]
-        derivs = _ancestor_derivatives(polys, w, within)
+        derivs = polys.derivatives(w, us)
         for u in us:
             gates[u, w] = arena.affine_gate((u, w), derivs[u])
 

@@ -37,6 +37,13 @@ def test_basic_arithmetic():
     assert p.add(p.scaled(-1.0)).is_zero()
     with pytest.raises(NotMultilinear):
         x0.mul(x0)
+    # a product whose only term underflows is the zero polynomial
+    tiny = SparsePolynomial.constant(2, 1e-200)
+    assert tiny.mul(tiny).is_zero()
+    # the factors share a slot only through x1: (x0 + x1) * (x2 + x1)
+    y0, y1, y2 = (SparsePolynomial.indicator(3, v) for v in range(3))
+    with pytest.raises(NotMultilinear):
+        y0.add(y1).mul(y2.add(y1))
 
 
 def test_structure_queries():
@@ -100,7 +107,7 @@ def test_extract_then_evaluate_consistency(small_corpus):
 def test_term_budget(monkeypatch):
     hard = pt.build_hard_instance(2)
     monkeypatch.setenv("PC_TERM_BUDGET", "3")
-    with pytest.raises(TermBudgetExceeded):
+    with pytest.raises(TermBudgetExceeded, match=r"node \d+"):
         pt.extract_polynomial(hard)
     monkeypatch.setenv("PC_TERM_BUDGET", "8")
     assert len(pt.extract_polynomial(hard).terms) == 8
@@ -109,6 +116,12 @@ def test_term_budget(monkeypatch):
     monkeypatch.setenv("PC_TERM_BUDGET", "1")
     with pytest.raises(TermBudgetExceeded, match="expands past 1 monomials"):
         pt.partial_derivative(b, b.root, 0)
+    # so does a derivative that outgrows it while every co-factor fits:
+    # d f(5) / d x1 = x0 + ~x0
+    c = build_circuit(2, [Leaf(0), Leaf(0, True), Leaf(1), Product((0, 2)), Product((1, 2)),
+                          Sum((3, 4), (1.0, 1.0))], 5)
+    with pytest.raises(TermBudgetExceeded, match="derivative of node 5 by node 2"):
+        pt.partial_derivative(c, 5, 2)
 
 
 def test_term_budget_env_override(monkeypatch):

@@ -96,6 +96,10 @@ def test_schema_errors():
     wrong_version["version"] = 2
     with pytest.raises(SchemaError):
         circuit_from_document(wrong_version)
+    for version in (True, 1.0):
+        wrong_version["version"] = version
+        with pytest.raises(SchemaError, match="version"):
+            circuit_from_document(wrong_version)
 
     bad_type = json.loads(HARD_K1_DOCUMENT)
     bad_type["nodes"][0]["negated"] = 1

@@ -49,7 +49,7 @@ def test_binarize_keeps_binary_circuits():
 
 def test_binarize_requires_validity():
     bad = build_circuit(2, [Leaf(0), Leaf(0, True), Leaf(1), Product((0, 1, 2))], 3)
-    with pytest.raises(InvalidInput):
+    with pytest.raises(InvalidInput, match="node 3: children with overlapping scopes"):
         pt.binarize(bad)
 
 
@@ -123,6 +123,15 @@ def test_derivative_base_cases():
         pt.partial_derivative(c, 0, 9)
 
 
+def test_derivatives_read_no_ancestor_table():
+    # the derivative walk stops on degrees, so neither the reducer nor
+    # partial_derivative builds the quadratic ancestor masks
+    b = pt.binarize(pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5)))
+    pt.reduce_depth(b)
+    pt.partial_derivative(b, b.root, 0)
+    assert "ancestor_masks" not in vars(b) and "topo_positions" not in vars(b)
+
+
 def _small_circuits():
     return [pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=0.3, max_fanout=2))
             for n, seed in ((3, 0), (4, 1), (4, 6))]
@@ -177,7 +186,7 @@ def test_frontier_examples():
     with pytest.raises(ValueError):
         pt.degree_frontier(c, 0)
     wide = build_circuit(3, [Leaf(0), Leaf(1), Leaf(2), Product((0, 1, 2))], 3)
-    with pytest.raises(NotBinary):
+    with pytest.raises(NotBinary, match="node 3 has 3 children"):
         pt.degree_frontier(wide, 1)
 
 
@@ -276,11 +285,11 @@ def test_reduce_depth_equivalent_beyond_expansion_scale(n):
 
 def test_reduce_depth_requires_binary_valid_input():
     wide = build_circuit(3, [Leaf(0), Leaf(1), Leaf(2), Product((0, 1, 2))], 3)
-    with pytest.raises(NotBinary):
+    with pytest.raises(NotBinary, match="node 3 has 3 children"):
         pt.reduce_depth(wide)
     lopsided = build_circuit(2, [Leaf(0), Leaf(1), Product((0, 1)),
                                  Sum((0, 2), (1.0, 1.0))], 3)
-    with pytest.raises(NotHomogeneous):
+    with pytest.raises(NotHomogeneous, match="node 3: children with different scopes"):
         pt.reduce_depth(lopsided)
 
 
