@@ -139,7 +139,8 @@ class SparsePolynomial:
         return SparsePolynomial._of(self.num_vars, out)
 
     def scaled(self, factor: float) -> "SparsePolynomial":
-        return SparsePolynomial(self.num_vars, {m: factor * c for m, c in self.terms.items()})
+        return SparsePolynomial._of(self.num_vars, {
+            m: p for m, c in self.terms.items() if (p := factor * c) != 0.0})
 
     def mul(self, other: "SparsePolynomial", max_terms: int | None = None) -> "SparsePolynomial":
         # disjoint slots make every monomial product distinct: nothing
@@ -278,7 +279,10 @@ def node_polynomials(c: Circuit) -> list[SparsePolynomial]:
 
 class _Expander:
     """Memoized exact node polynomials of one circuit, and their partial
-    derivatives, expanded on demand under the :func:`term_budget` cap."""
+    derivatives, expanded on demand under the :func:`term_budget` cap.
+    Every product, of a node's children or of the chain rule's co-factors,
+    folds its unit monomial factors into one mask, then multiplies the
+    rest in child order (:meth:`_product`)."""
 
     def __init__(self, c: Circuit):
         self.c = c
@@ -290,9 +294,14 @@ class _Expander:
         """``done[v]``, after an iterative post-order walk has set ``done[u] =
         rule(u)`` for each node ``u`` below ``v`` missing there; deriving by
         ``w``, it enters no child of degree below ``deg(w)``, as degrees
-        never grow downward.  A result past the cap names ``u`` or ``(u, w)``."""
+        never grow downward.  A result past the cap, or a product that is not
+        multilinear, names ``u`` or ``(u, w)``."""
         c, cap, deg = self.c, self.cap, self.c.degrees
         low = 0 if w is None else deg[w]
+
+        def where(u: int) -> str:
+            return f"node {u}" if w is None else f"derivative of node {u} by node {w}"
+
         stack = [v]
         while stack:
             u = stack[-1]
@@ -307,9 +316,10 @@ class _Expander:
                 p = rule(u)
             except TermBudgetExceeded:
                 p = None  # a product inside the rule outgrew the cap
+            except NotMultilinear as e:
+                raise NotMultilinear(f"{where(u)}: {e}") from e
             if p is None or len(p.terms) > cap:
-                where = f"node {u}" if w is None else f"derivative of node {u} by node {w}"
-                raise TermBudgetExceeded(f"{where} expands past {cap} monomials")
+                raise TermBudgetExceeded(f"{where(u)} expands past {cap} monomials")
             done[u] = p
         return done[v]
 
@@ -326,9 +336,29 @@ class _Expander:
             for ch, w in zip(node.children, node.weights):
                 p = p.add(self.memo[ch], w)
             return p
-        p = SparsePolynomial.constant(n, 1.0)
-        for ch in node.children:
-            p = p.mul(self.memo[ch], max_terms=self.cap)
+        return self._product([self.memo[ch] for ch in node.children])
+
+    def _product(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
+        """Product of ``factors`` in their given order, except that each one
+        that is a single monomial with coefficient exactly 1.0 (a leaf, say)
+        is ORed into one mask first: multiplying by 1.0 is exact, so every
+        coefficient is the left fold's, while a large factor is copied once
+        instead of once per leaf."""
+        mask, rest = 0, []
+        for f in factors:
+            if len(f.terms) == 1:
+                (m, coeff), = f.terms.items()
+                if coeff == 1.0:
+                    if mask & m:
+                        raise NotMultilinear(
+                            "product would raise an indicator slot to a power above one")
+                    mask |= m
+                    continue
+            rest.append(f)
+        # an empty mask would only copy the first other factor
+        p = rest.pop(0) if rest and not mask else SparsePolynomial._of(self.c.num_vars, {mask: 1.0})
+        for f in rest:
+            p = p.mul(f, max_terms=self.cap)
         return p
 
     def derivatives(self, w: int, targets: Sequence[int]) -> dict[int, SparsePolynomial]:
@@ -352,10 +382,8 @@ class _Expander:
                     term = d.get(ch)
                     if term is None or term.is_zero():
                         continue
-                    for i, other in enumerate(node.children):
-                        if i != j:
-                            term = term.mul(self.get(other), max_terms=self.cap)
-                    p = p.add(term)
+                    p = p.add(self._product([term] + [self.get(other) for i, other
+                                                      in enumerate(node.children) if i != j]))
             return p
 
         return {u: self._walk(u, d, chain_rule, w) for u in targets}

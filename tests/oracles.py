@@ -67,30 +67,39 @@ def mobius_terms(c: Circuit) -> dict[int, Fraction]:
     return {m: v for m, v in enumerate(vals) if v != 0}
 
 
+def left_fold_polynomials(c: Circuit, num_vars: int | None = None,
+                          fixed: dict[int, SparsePolynomial] | None = None) -> list[SparsePolynomial]:
+    """Node polynomials in id order by the textbook left folds: a sum adds
+    its weighted children in order, a product multiplies the constant 1
+    by each child in order with ``SparsePolynomial.mul``.  ``fixed`` pins
+    the polynomials of some nodes, over ``num_vars`` variables."""
+    n = c.num_vars if num_vars is None else num_vars
+    polys: list[SparsePolynomial] = [SparsePolynomial.zero(n)] * len(c.nodes)
+    for u in c.topo_order:
+        node = c.nodes[u]
+        if fixed and u in fixed:
+            p = fixed[u]
+        elif isinstance(node, Leaf):
+            p = SparsePolynomial.indicator(n, node.var, node.negated)
+        elif isinstance(node, Sum):
+            p = SparsePolynomial.zero(n)
+            for ch, wt in zip(node.children, node.weights):
+                p = p.add(polys[ch], wt)
+        else:
+            p = SparsePolynomial.constant(n, 1.0)
+            for ch in node.children:
+                p = p.mul(polys[ch])
+        polys[u] = p
+    return polys
+
+
 def substitute_atom_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     """Derivative by the definition: expand the polynomial of ``v`` with
     node ``w`` replaced by a fresh atom (an extra variable), then keep
     the atom-linear part with the atom stripped."""
     wide = c.num_vars + 1  # the extra variable's positive slot is the atom
     atom = 1 << (2 * c.num_vars)
-    polys: dict[int, SparsePolynomial] = {}
-    for u in c.topo_order:
-        if u == w:
-            polys[u] = SparsePolynomial(wide, {atom: 1.0})
-            continue
-        node = c.nodes[u]
-        if isinstance(node, Leaf):
-            polys[u] = SparsePolynomial.indicator(wide, node.var, node.negated)
-        elif isinstance(node, Sum):
-            p = SparsePolynomial.zero(wide)
-            for ch, wt in zip(node.children, node.weights):
-                p = p.add(polys[ch], wt)
-            polys[u] = p
-        else:
-            p = SparsePolynomial.constant(wide, 1.0)
-            for ch in node.children:
-                p = p.mul(polys[ch])
-            polys[u] = p
+    polys = left_fold_polynomials(c, wide, {w: SparsePolynomial(wide, {atom: 1.0})})
     linear = {m ^ atom: coeff for m, coeff in polys[v].terms.items() if m & atom}
     return SparsePolynomial(c.num_vars, linear)
 

@@ -16,7 +16,7 @@ from pctree.errors import (
 )
 from pctree.poly import slot
 
-from oracles import chain_dag, mobius_terms
+from oracles import chain_dag, left_fold_polynomials, mobius_terms
 
 
 def mono(*indicators):
@@ -37,9 +37,10 @@ def test_basic_arithmetic():
     assert p.add(p.scaled(-1.0)).is_zero()
     with pytest.raises(NotMultilinear):
         x0.mul(x0)
-    # a product whose only term underflows is the zero polynomial
+    # a product or scaling whose only term underflows is the zero polynomial
     tiny = SparsePolynomial.constant(2, 1e-200)
     assert tiny.mul(tiny).is_zero()
+    assert tiny.scaled(1e-200).is_zero()
     # the factors share a slot only through x1: (x0 + x1) * (x2 + x1)
     y0, y1, y2 = (SparsePolynomial.indicator(3, v) for v in range(3))
     with pytest.raises(NotMultilinear):
@@ -102,6 +103,47 @@ def test_extract_then_evaluate_consistency(small_corpus):
             assert math.isclose(p.evaluate(a), c.evaluate(a), rel_tol=1e-9)
         with pytest.raises(AssignmentLengthMismatch):
             p.evaluate([1.0] * (2 * c.num_vars - 1))
+
+
+def test_product_fold_matches_the_left_fold_bit_for_bit():
+    circuits = [pt.build_hard_instance(k) for k in (1, 2, 3)]
+    circuits += [pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=0.5))
+                 for n, seed in ((4, 0), (6, 1), (8, 2))]
+    # one product over unit leaves (0, 1), single-monomial children of
+    # weight 0.3, 0.5 and 0.1 (8, 3, 13) and multi-term mixtures (6, 11):
+    # multiplying the single-monomial weights first changes 3 of the 4
+    # coefficients in the last bit
+    circuits.append(build_circuit(7, [
+        Leaf(0), Leaf(1, True), Leaf(2), Sum((2,), (0.5,)), Leaf(3), Leaf(3, True),
+        Sum((4, 5), (0.3, 0.7)), Leaf(4), Sum((7,), (0.3,)), Leaf(5), Leaf(5, True),
+        Sum((9, 10), (0.6, 0.4)), Leaf(6), Sum((12,), (0.1,)),
+        Product((6, 0, 8, 3, 1, 11, 13))], 14))
+    circuits += [pt.treeify(c)[0] for c in circuits]
+    for c in circuits:
+        got = [p.terms for p in pt.node_polynomials(c)]
+        assert got == [p.terms for p in left_fold_polynomials(c)]
+    hard4 = pt.extract_polynomial(pt.build_hard_instance(4))
+    assert len(hard4.terms) == 2 ** 15
+    assert {m.bit_count() for m in hard4.terms} == {256}
+
+
+def test_non_multilinear_product_names_the_node():
+    leaf_leaf = build_circuit(1, [Leaf(0), Leaf(0), Product((0, 1))], 2)
+    leaf_sum = build_circuit(1, [Leaf(0), Sum((0, 3), (0.5, 0.5)), Product((0, 1)),
+                                 Leaf(0, True)], 2)
+    for c in (leaf_leaf, leaf_sum):
+        with pytest.raises(NotMultilinear, match=r"node 2"):
+            pt.extract_polynomial(c)
+        with pytest.raises(NotMultilinear, match=r"node 2"):
+            pt.node_polynomials(c)
+    # d f(3) / d x0 = x1 * x1; in the second circuit the co-factor x1 * x1
+    # is node 3 itself, named inside the derivative's message
+    c = build_circuit(2, [Leaf(0), Leaf(1), Leaf(1), Product((0, 1, 2))], 3)
+    with pytest.raises(NotMultilinear, match=r"^derivative of node 3 by node 0: product"):
+        pt.partial_derivative(c, 3, 0)
+    c = build_circuit(2, [Leaf(0), Leaf(1), Leaf(1), Product((1, 2)), Product((0, 3))], 4)
+    with pytest.raises(NotMultilinear, match=r"^derivative of node 4 by node 0: node 3: "):
+        pt.partial_derivative(c, 4, 0)
 
 
 def test_term_budget(monkeypatch):
