@@ -43,7 +43,7 @@ def slot(var: int, negated: bool = False) -> int:
     return 2 * var + (1 if negated else 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     """Indicator leaf: variable ``var``, negated when ``negated`` is true."""
 
@@ -51,7 +51,7 @@ class Leaf:
     negated: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sum:
     """Weighted sum over earlier nodes; one weight per child edge."""
 
@@ -60,10 +60,10 @@ class Sum:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Product:
     """Product over earlier nodes."""
 

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _bits, _renumber
+from .circuit import Circuit, Leaf, Node, Product, Sum, _bits
 from .errors import (
     DanglingChild,
     InvalidInput,
@@ -236,15 +236,18 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
 # ---------------------------------------------------------------------------
 
 class _Arena:
-    """Append-only node store for the circuit under construction."""
+    """Append-only node store for the circuit under construction.  An
+    entry is a :class:`Leaf`, ``(children, weights)`` for a sum or
+    ``(children, None)`` for a product; :func:`_compact` builds the
+    nodes."""
 
     def __init__(self) -> None:
-        self.nodes: list[Node] = []
+        self.entries: list[Leaf | tuple] = []
         self._leaves: dict[tuple[int, bool], int] = {}
 
-    def add(self, node: Node) -> int:
-        self.nodes.append(node)
-        return len(self.nodes) - 1
+    def add(self, entry: Leaf | tuple) -> int:
+        self.entries.append(entry)
+        return len(self.entries) - 1
 
     def leaf(self, var: int, negated: bool = False) -> int:
         key = (var, negated)
@@ -253,14 +256,14 @@ class _Arena:
         return self._leaves[key]
 
     def product(self, children: list[int]) -> int:
-        return self.add(Product(tuple(children)))
+        return self.add((tuple(children), None))
 
     def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> int:
         """Sum node of gate ``key``; the key names it if a weight is not finite."""
         weights = tuple(w for _, w in pairs)
         if not all(map(math.isfinite, weights)):
             raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
-        return self.add(Sum(tuple(p for p, _ in pairs), weights))
+        return self.add((tuple(p for p, _ in pairs), weights))
 
     def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> int | float:
         """Realize gate ``key``'s polynomial of degree <= 1: constants
@@ -422,19 +425,30 @@ def reduce_depth(circuit: Circuit) -> Circuit:
 
 
 def _compact(arena: _Arena, num_vars: int, root_id: int) -> Circuit:
-    """Keep only the nodes reachable from the root gate, in id order."""
-    keep = bytearray(len(arena.nodes))
+    """Keep only the nodes reachable from the root gate, in id order.
+    Arena children have lower ids than their parents, so one sweep down
+    from the root marks them all."""
+    entries = arena.entries
+    keep = bytearray(root_id + 1)
     keep[root_id] = 1
-    stack = [root_id]
-    while stack:
-        node = arena.nodes[stack.pop()]
-        if isinstance(node, Leaf):
-            continue
-        for ch in node.children:
-            if not keep[ch]:
-                keep[ch] = 1
-                stack.append(ch)
-    nodes, remap = _renumber(arena.nodes, keep)
+    for v in range(root_id, -1, -1):
+        if keep[v]:
+            entry = entries[v]
+            if not isinstance(entry, Leaf):
+                for ch in entry[0]:
+                    keep[ch] = 1
+    remap = [0] * (root_id + 1)
+    nodes: list[Node] = []
+    for v in range(root_id + 1):
+        if keep[v]:
+            remap[v] = len(nodes)
+            entry = entries[v]
+            if isinstance(entry, Leaf):
+                nodes.append(entry)
+                continue
+            kids, weights = entry
+            kids = tuple([remap[ch] for ch in kids])
+            nodes.append(Product(kids) if weights is None else Sum(kids, weights))
     return Circuit(num_vars, nodes, remap[root_id])
 
 
@@ -444,47 +458,42 @@ def _compact(arena: _Arena, num_vars: int, root_id: int) -> Circuit:
 
 def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Circuit:
     """Clone shared sub-DAGs until every non-root node has exactly one
-    parent: a plain recursive copy from the root with memoization
-    disabled.  Depth and polynomial are unchanged; the final size (the
-    number of root-to-node paths) is counted up front against the budget.
+    parent: a post-order copy placed by subtree offsets.  Depth and
+    polynomial are unchanged.
+
+    A node's copied subtree has ``size[v] = 1 + sum of its children's
+    sizes`` nodes; ``size[root]``, the number of root-to-node paths, is
+    checked against the budget before anything is copied.  A copy at
+    offset ``base`` sits at ``base + size[v] - 1``, after its children's
+    copies, which lie side by side from ``base`` on.  An explicit stack
+    places them, so deep inputs need no recursion.
     """
-    paths = [0] * len(c.nodes)
-    paths[c.root] = 1
-    for v in reversed(c.topo_order):  # parents before children
-        pv = paths[v]
-        if pv:
-            for ch in c.children(v):
-                paths[ch] += pv
-    total = sum(paths)
+    nodes = c.nodes
+    size = [1] * len(nodes)
+    for v in c.topo_order:  # children before parents
+        node = nodes[v]
+        if not isinstance(node, Leaf):
+            size[v] = 1 + sum([size[ch] for ch in node.children])
+    total = size[c.root]
     if total > node_budget:
         raise SizeBudgetExceeded(f"expanded tree would have {total} nodes (budget {node_budget})")
 
-    out: list[Node] = []
-    stack: list[list] = [[c.root, 0, []]]
-    root_clone = -1
+    out: list[Node | None] = [None] * total
+    stack = [(c.root, 0)]
     while stack:
-        frame = stack[-1]
-        v, idx, acc = frame
-        kids = c.children(v)
-        if idx < len(kids):
-            frame[1] += 1
-            stack.append([kids[idx], 0, []])
-            continue
-        node = c.nodes[v]
+        v, base = stack.pop()
+        node = nodes[v]
         if isinstance(node, Leaf):
-            clone: Node = node
-        elif isinstance(node, Sum):
-            clone = Sum(tuple(acc), node.weights)
-        else:
-            clone = Product(tuple(acc))
-        out.append(clone)
-        nid = len(out) - 1
-        stack.pop()
-        if stack:
-            stack[-1][2].append(nid)
-        else:
-            root_clone = nid
-    return Circuit(c.num_vars, out, root_clone)
+            out[base] = node
+            continue
+        kids = []
+        for ch in node.children:
+            stack.append((ch, base))
+            base += size[ch]
+            kids.append(base - 1)
+        out[base] = (Sum(tuple(kids), node.weights) if isinstance(node, Sum)
+                     else Product(tuple(kids)))
+    return Circuit(c.num_vars, out, total - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -493,17 +502,29 @@ def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Cir
 
 def treeify(c: Circuit, normalize_output: bool = False,
             node_budget: int = DEFAULT_TREE_BUDGET) -> tuple[Circuit, PipelineReport]:
-    """binarize -> reduce_depth -> duplicate_to_tree (-> normalize),
-    recording node/edge/depth metrics after every stage."""
+    """binarize -> reduce_depth -> (normalize) -> duplicate_to_tree,
+    recording node/edge/depth metrics after every stage.
+
+    Normalizing the reduced circuit before the copy gives the same tree
+    and constant, bit for bit, as normalizing the copy, since a node's
+    scale and weights depend only on the sub-DAG below it; so each tree
+    node is built once, and a :class:`ZeroWeightSum` or
+    :class:`NonFiniteValue` from normalizing names a reduced node.  The
+    ``duplicate`` and ``normalize`` rows are derived, not measured: the
+    tree has one edge fewer than nodes and the reduced circuit's depth.
+    """
     stages = [stage_metrics("input", c)]
     b = binarize(c)
     stages.append(stage_metrics("binarize", b))
     r = reduce_depth(b)
-    stages.append(stage_metrics("reduce_depth", r))
-    t = duplicate_to_tree(r, node_budget)
-    stages.append(stage_metrics("duplicate", t))
+    reduced = stage_metrics("reduce_depth", r)
+    stages.append(reduced)
     constant = None
     if normalize_output:
-        t, constant = normalize(t)
-        stages.append(stage_metrics("normalize", t))
+        r, constant = normalize(r)
+    t = duplicate_to_tree(r, node_budget)
+    n = len(t.nodes)
+    stages.append(StageMetrics("duplicate", n, n - 1, reduced.depth))
+    if normalize_output:
+        stages.append(StageMetrics("normalize", n, n - 1, reduced.depth))
     return t, PipelineReport(tuple(stages), constant)

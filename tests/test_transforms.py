@@ -16,6 +16,7 @@ from pctree.errors import (
     SizeBudgetExceeded,
     ZeroWeightSum,
 )
+from pctree.transforms import stage_metrics
 
 from oracles import chain_rule_table, frontier_triples, substitute_atom_derivative, table_hash
 
@@ -362,6 +363,15 @@ def test_duplicate_budget():
         pt.duplicate_to_tree(c, node_budget=10)
 
 
+def test_duplicate_budget_is_inclusive():
+    c = pt.random_valid_pc(pt.GenParams(n=8, seed=3, reuse_prob=0.6))
+    size = len(pt.duplicate_to_tree(c).nodes)
+    assert size > len(c.nodes)
+    assert len(pt.duplicate_to_tree(c, node_budget=size).nodes) == size
+    with pytest.raises(SizeBudgetExceeded, match=f"would have {size} nodes \\(budget {size - 1}\\)"):
+        pt.duplicate_to_tree(c, node_budget=size - 1)
+
+
 # -- treeify ----------------------------------------------------------------------
 
 def test_treeify_end_to_end():
@@ -426,6 +436,11 @@ def test_exact_expansion_of_deep_and_wide_inputs():
     assert pt.node_polynomials(chain)[2:] == [p] * (depth + 1)
     assert pt.partial_derivative(chain, chain.root, 2) == SparsePolynomial.constant(1, 1.0)
     assert pt.poly_equal(pt.extract_polynomial(pt.reduce_depth(chain)), p)
+    copy = pt.duplicate_to_tree(chain)
+    assert copy.nodes == chain.nodes and copy.root == chain.root
+    tree, report = pt.treeify(chain, normalize_output=True)
+    assert pt.extract_polynomial(tree).terms == p.terms
+    assert report.root_constant == 1.0
     # a wide sum of one variable's mixtures per variable: binarize turns
     # each into a long chain of degree-one nodes
     n, k = 8, 200
@@ -526,6 +541,39 @@ def test_treeify_output_is_node_for_node_pinned(name):
     reduced = pt.reduce_depth(pt.binarize(c))
     tree = pt.duplicate_to_tree(reduced)
     assert (table_hash(reduced), table_hash(tree)) == GOLDEN_HASHES[name]
+
+
+def _reorder_corpus():
+    corpus = {f"dag-{n}-{seed}": pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=0.5))
+              for n in (6, 12) for seed in (1, 2, 3)}
+    corpus.update({f"hard-{k}": pt.build_hard_instance(k) for k in (2, 3)})
+    return corpus
+
+
+@pytest.mark.parametrize("name", sorted(_reorder_corpus()))
+def test_treeify_normalizes_before_the_copy_without_changing_output(name):
+    """treeify normalizes the reduced circuit and then copies it; the
+    result equals, bit for bit, the copy normalized afterwards.  No
+    pinned hash, so it holds whatever rounding ``sum`` uses."""
+    c = _reorder_corpus()[name]
+    tree, report = pt.treeify(c, normalize_output=True)
+    expected, constant = pt.normalize(pt.duplicate_to_tree(pt.reduce_depth(pt.binarize(c))))
+    assert tree.nodes == expected.nodes
+    assert tree.root == expected.root
+    assert report.root_constant == constant
+
+
+@pytest.mark.parametrize("name", ["dag-12-1", "hard-3"])
+def test_report_rows_match_each_stage(name):
+    c = _reorder_corpus()[name]
+    _, report = pt.treeify(c, normalize_output=True)
+    b = pt.binarize(c)
+    r = pt.reduce_depth(b)
+    d = pt.duplicate_to_tree(r)
+    normed, _ = pt.normalize(d)
+    assert report.stages == (stage_metrics("input", c), stage_metrics("binarize", b),
+                             stage_metrics("reduce_depth", r), stage_metrics("duplicate", d),
+                             stage_metrics("normalize", normed))
 
 
 def test_report_serialization():
