@@ -78,7 +78,8 @@ class NotHomogeneous(PCError):
 
 
 class MissingGate(PCError):
-    """Internal consistency failure: a referenced gate was never built."""
+    """Internal consistency failure: the depth reducer found no frontier
+    product below a node it must expand."""
 
 
 class SizeBudgetExceeded(PCError):

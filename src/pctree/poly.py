@@ -361,10 +361,10 @@ class _Expander:
             p = p.mul(f, max_terms=self.cap)
         return p
 
-    def derivatives(self, w: int, targets: Sequence[int]) -> dict[int, SparsePolynomial]:
-        """``d_w f(u)`` for each target ``u`` by the chain rule, memoized for
-        this call; nodes that do not reach ``w`` give zero, and the product
-        rule's co-factors come from :meth:`get`."""
+    def derivative(self, w: int, u: int) -> SparsePolynomial:
+        """``d_w f(u)`` by the chain rule, memoized for this call; nodes that
+        do not reach ``w`` give zero, and the product rule's co-factors come
+        from :meth:`get`."""
         c, n = self.c, self.c.num_vars
         d = {w: SparsePolynomial.constant(n, 1.0)}
 
@@ -386,4 +386,4 @@ class _Expander:
                                                       in enumerate(node.children) if i != j]))
             return p
 
-        return {u: self._walk(u, d, chain_rule, w) for u in targets}
+        return self._walk(u, d, chain_rule, w)

@@ -16,27 +16,22 @@ where ``d_w f(u)`` is the partial derivative of ``u``'s polynomial with
 respect to the polynomial of its descendant ``w``, and the second
 expansion uses the frontier at threshold ``m = 2**i + deg(w)`` with
 ``t1`` the higher-degree child of ``t``.  Every factor on the right is a
-gate built by an earlier band (or, for ``f(t2)``, earlier in the same
+gate of an earlier band (or, for ``f(t2)``, a value gate of the same
 band), so each band adds two levels and the result has depth
 logarithmic in the root degree.  Constant-valued gates are never
 materialized: they fold into the edge weights of the sums that use them.
 
-Only the gates the root's gate reaches are built.  A demand pass walks
-the gate keys top-down from the root's value: a key at degree gap above
-one gets its summand plan (the frontier pivots below it, found as the
-threshold's frontier bitmask ANDed with the node's descendant mask, and
-the three factor keys of each) and pushes those factors; keys at gap at
-most one are collected per ``w``.  Constant folding is not looked at, so
-the demand set is a superset of what the root reaches, and the final
-reachability pass drops the few leftovers.  The build pass then makes
-every indicator leaf and degree-one value, the shallow derivatives by
-one chain-rule walk per demanded ``w`` (down from the ``u`` paired with
-it, entering no node of degree below ``deg(w)``), and the planned gates
-band by band: values by node id, then derivative pairs by ``(u, w)``,
-since pairs read their band's values.  That is the order in which
-building every admissible gate would create them, so the gates the root
-reaches appear in the same relative order and the compacted output is
-the same node for node.
+Only the gates the root's gate reaches are built, by one iterative
+post-order walk over gate keys from the root's value.  A key at degree
+gap at most one is built when popped: an indicator leaf, or an affine
+gate over the value or the derivative (one chain-rule walk down from
+``u``, entering no node of degree below ``deg(w)``).  Any other key gets
+its summand plan (the frontier pivots below it, found as the threshold's
+frontier bitmask ANDed with the node's descendant mask, and the three
+factor keys of each), then its factors are walked, and it is built once
+they all are.  Constant folding happens while building, so a few gates
+may go unused; the final reachability pass drops them.  The output
+depends only on the circuit's nodes and root, not on its ``topo_order``.
 """
 
 from __future__ import annotations
@@ -202,7 +197,7 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     n = len(c.nodes)
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
-    return _Expander(c).derivatives(w, [v])[v]
+    return _Expander(c).derivative(w, v)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +288,7 @@ def _resolve(gates: _GateTable,
     weight = 1.0
     kids: list[int] = []
     for key in keys:
-        got = gates.get(key)
-        if got is None:
-            raise MissingGate(f"gate (node, wrt) = {key} was not built by an earlier band")
+        got = gates[key]
         if isinstance(got, float):
             if got == 0.0:
                 return None
@@ -308,8 +301,8 @@ def _resolve(gates: _GateTable,
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the demand pass).  A gate weight that
-    overflows raises :class:`NonFiniteValue` naming the gate, and a root
+    band construction and the gate walk).  A gate weight that overflows
+    raises :class:`NonFiniteValue` naming the gate, and a root
     polynomial that underflows to zero raises :class:`ZeroWeightSum`
     naming the root."""
     _require_binary(circuit, "depth reduction requires fan-out <= 2; binarize first")
@@ -339,7 +332,9 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     def plan(u: int, w: int | None, lo: int) -> list[tuple[tuple[int, int | None], ...]]:
         """Factor keys of each summand of gate ``(u, w)`` in band ``lo``:
         ``f(a) * f(b) * d_t f(u)`` for a value, ``f(t2) * d_w f(t1) *
-        d_t f(u)`` for a derivative, one per frontier pivot ``t``."""
+        d_t f(u)`` for a derivative, one per frontier pivot ``t``.  Every
+        pair a plan names has deg(u) < 2 deg(w), as the band expansions
+        require."""
         m = lo if w is None else lo + deg[w]
         below = _bits(frontier(m) & desc[u])
         if not below:
@@ -357,53 +352,33 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             summands.append(((a, None), (b, w), (u, t)))
         return summands
 
-    # demand pass: walk the gate keys the root's gate reaches.  Values of
-    # degree one and derivatives at degree gap <= 1 are built directly
-    # (the latter grouped by ``w``); every other key is planned once and
-    # queued for its band, under the band's build order.  Every pair a
-    # plan names has deg(u) < 2 deg(w), as the band expansions require.
-    shallow: dict[int, list[int]] = {}
-    planned = []
-    seen = {(circuit.root, None)}
-    stack = [(circuit.root, None)]
+    # one post-order walk over the gate keys the root's gate reaches.  A
+    # key at degree gap <= 1 is built when popped: an indicator leaf, or
+    # an affine gate (gap zero folds to a constant, gap one is a sum over
+    # a single variable's indicators).  Any other key is planned on its
+    # first visit and built on its second, once every factor is built.
+    # Only a key's own factors are stacked above its plan, so a second
+    # copy of it lies below and is popped after it is built.
+    stack: list = [((circuit.root, None), None)]
     while stack:
-        key = stack.pop()
-        u, w = key
-        gap = deg[u] - (0 if w is None else deg[w])
-        if gap <= 1:
-            if w is not None:
-                shallow.setdefault(w, []).append(u)
+        key, summands = stack.pop()
+        if key in gates:
             continue
-        band = (gap - 1).bit_length() - 1
-        summands = plan(u, w, 1 << band)
-        planned.append(((band, 0, u, 0) if w is None else (band, 1, u, w), key, summands))
-        for keys in summands:
-            for k in keys:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-
-    # values: indicator leaves, then every degree-one node as a sum over
-    # the indicators of its single variable
-    for v in circuit.topo_order:
-        if deg[v] == 1:
-            node = circuit.nodes[v]
-            gates[v, None] = (arena.leaf(node.var, node.negated) if isinstance(node, Leaf)
-                              else arena.affine_gate((v, None), polys.get(v)))
-
-    # derivative gates at degree gap <= 1 (gap zero folds to a constant,
-    # gap one is affine over a single variable), one derivative walk per
-    # ``w`` down from its demanded ``u``s, pruned below ``deg(w)``
-    for w in sorted(shallow):
-        us = sorted(shallow[w])
-        derivs = polys.derivatives(w, us)
-        for u in us:
-            gates[u, w] = arena.affine_gate((u, w), derivs[u])
-
-    # band gates: per band, values by node, then derivative pairs by
-    # (u, w), which read the band's values
-    planned.sort(key=lambda entry: entry[0])
-    for _, key, summands in planned:
+        if summands is None:
+            u, w = key
+            gap = deg[u] - (0 if w is None else deg[w])
+            if gap <= 1:
+                node = circuit.nodes[u]
+                if w is None and isinstance(node, Leaf):
+                    gates[key] = arena.leaf(node.var, node.negated)
+                else:
+                    gates[key] = arena.affine_gate(key, polys.get(u) if w is None
+                                                   else polys.derivative(w, u))
+                continue
+            summands = plan(u, w, 1 << ((gap - 1).bit_length() - 1))
+            stack.append((key, summands))
+            stack.extend((k, None) for keys in summands for k in keys if k not in gates)
+            continue
         products = []
         for keys in summands:
             folded = _resolve(gates, keys)
@@ -413,9 +388,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             products.append((arena.product(kids), weight))
         gates[key] = arena.sum_(key, products) if products else 0.0
 
-    root_gate = gates.get((circuit.root, None))
-    if root_gate is None:
-        raise MissingGate("value gate of the root was never built")
+    root_gate = gates[circuit.root, None]
     if isinstance(root_gate, float):
         # the root has degree >= 1, so a constant gate is a polynomial
         # whose every coefficient underflowed to zero
