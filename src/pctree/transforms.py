@@ -26,12 +26,13 @@ post-order walk over gate keys from the root's value.  A key at degree
 gap at most one is built when popped: an indicator leaf, or an affine
 gate over the value or the derivative (one chain-rule walk down from
 ``u``, entering no node of degree below ``deg(w)``).  Any other key gets
-its summand plan (the frontier pivots below it, found as the threshold's
-frontier bitmask ANDed with the node's descendant mask, and the three
-factor keys of each), then its factors are walked, and it is built once
-they all are.  Constant folding happens while building, so a few gates
-may go unused; the final reachability pass drops them.  The output
-depends only on the circuit's nodes and root, not on its ``topo_order``.
+its summand plan (the frontier pivots below it and the three factor
+keys of each), then its factors are walked, and it is built once they
+all are.  The pivots, and whether a pivot's child reaches ``w``, come
+from one memoized walk that likewise enters no node below a degree
+floor.  Constant folding happens while building, so a few gates may go
+unused; the final reachability pass drops them.  The output depends
+only on the circuit's nodes and root, not on its ``topo_order``.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _bits
+from .circuit import Circuit, Leaf, Node, Product, Sum
 from .errors import (
     DanglingChild,
     InvalidInput,
@@ -204,16 +205,25 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
 # degree frontier
 # ---------------------------------------------------------------------------
 
-def _binary_products(c: Circuit) -> list[tuple[int, int, int]]:
-    """``(t, a, b)`` for every product ``t`` with exactly the children ``a, b``."""
-    return [(t, node.children[0], node.children[1]) for t, node in enumerate(c.nodes)
-            if isinstance(node, Product) and len(node.children) == 2]
+def _below(c: Circuit, v: int, floor: int) -> set[int]:
+    """``v`` and the nodes reachable from it through nodes of degree at
+    least ``floor``: as degrees never grow downward, every descendant of
+    that degree, found without entering a node below the floor."""
+    nodes, deg = c.nodes, c.degrees
+    seen, stack = {v}, [v]
+    while stack:
+        for ch in getattr(nodes[stack.pop()], "children", ()):  # a Leaf has none
+            if ch not in seen and deg[ch] >= floor:
+                seen.add(ch)
+                stack.append(ch)
+    return seen
 
 
-def _straddling(products: list[tuple[int, int, int]], deg: tuple[int, ...],
-                m: int) -> list[tuple[int, int, int]]:
-    """The products whose own degree exceeds ``m`` while neither child's does."""
-    return [(t, a, b) for t, a, b in products if deg[t] > m and deg[a] <= m and deg[b] <= m]
+def _pivots(c: Circuit, u: int, m: int) -> list[int]:
+    """The products below ``u`` straddling threshold ``m``, ascending."""
+    nodes, deg = c.nodes, c.degrees
+    return sorted(t for t in _below(c, u, m + 1) if deg[t] > m and isinstance(nodes[t], Product)
+                  and max([deg[ch] for ch in nodes[t].children]) <= m)
 
 
 def degree_frontier(c: Circuit, m: int) -> FrontierSet:
@@ -222,8 +232,7 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
     if m < 1:
         raise ValueError("threshold m must be >= 1")
     _require_binary(c, "the degree frontier is defined for binary circuits")
-    members = _straddling(_binary_products(c), c.degrees, m)
-    return FrontierSet(m, frozenset(t for t, _, _ in members))
+    return FrontierSet(m, frozenset(_pivots(c, c.root, m)))
 
 
 # ---------------------------------------------------------------------------
@@ -314,20 +323,11 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                              f"(failed: {', '.join(failed)}; node {v}: {why})")
 
     deg = circuit.degrees
-    desc = circuit.descendant_masks
     arena = _Arena()
     gates: _GateTable = {}
     polys = _Expander(circuit)
-
-    # frontier masks per threshold on demand
-    binary_products = _binary_products(circuit)
-
-    @cache
-    def frontier(m: int) -> int:
-        mask = 0
-        for t, _, _ in _straddling(binary_products, deg, m):
-            mask |= 1 << t
-        return mask
+    pivots = cache(lambda u, m: _pivots(circuit, u, m))
+    reach = cache(lambda v, floor: _below(circuit, v, floor))
 
     def plan(u: int, w: int | None, lo: int) -> list[tuple[tuple[int, int | None], ...]]:
         """Factor keys of each summand of gate ``(u, w)`` in band ``lo``:
@@ -336,7 +336,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         pair a plan names has deg(u) < 2 deg(w), as the band expansions
         require."""
         m = lo if w is None else lo + deg[w]
-        below = _bits(frontier(m) & desc[u])
+        below = pivots(u, m)
         if not below:
             raise MissingGate(f"no frontier product below node {u} at threshold {m}")
         summands = []
@@ -346,7 +346,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 # the derivative flows through the heavier child t1; on a
                 # degree tie neither child reaches w, as deg(t) < 2 deg(w)
                 t1, t2 = (a, b) if deg[a] > deg[b] else (b, a)
-                if not desc[t1] >> w & 1:
+                if w not in reach(t1, deg[w]):
                     continue  # derivative cannot flow through t1: zero summand
                 a, b = t2, t1
             summands.append(((a, None), (b, w), (u, t)))

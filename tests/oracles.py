@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 from pctree import SparsePolynomial
@@ -180,6 +181,34 @@ def chain_dag(n: int, root_weights: tuple[float, float]) -> Circuit:
         right = emit(Product((mixture(var, (0.6, 0.4)), suffix)))
         suffix = emit(Sum((left, right), root_weights if var == 0 else (0.5, 0.5)))
     return build_circuit(n, nodes, suffix)
+
+
+def layered_dag(n: int, w: int, seed: int) -> Circuit:
+    """Wide DAG over ``n`` variables: each suffix scope ``i..n-1`` holds
+    ``w`` sums (the root's scope holds one), and each sum mixes, over
+    ``k``, the product of a fresh mixture of ``x_i`` and ``~x_i`` with the
+    ``k``-th sum of the next suffix.  Weights are drawn from ``seed``.
+    Its reduced circuit is mostly derivative gates, and its tree grows
+    like ``n ** (2 log2 w + 1)``."""
+    from pctree import build_circuit
+
+    rng = random.Random(seed)
+    nodes: list = []
+
+    def emit(node) -> int:
+        nodes.append(node)
+        return len(nodes) - 1
+
+    def mixture(var: int) -> int:
+        p = rng.random()
+        return emit(Sum((emit(Leaf(var)), emit(Leaf(var, True))), (p, 1.0 - p)))
+
+    suffix = [mixture(n - 1) for _ in range(w)]
+    for var in range(n - 2, -1, -1):
+        suffix = [emit(Sum(tuple(emit(Product((mixture(var), s))) for s in suffix),
+                           tuple(rng.random() for _ in suffix)))
+                  for _ in range(1 if var == 0 else w)]
+    return build_circuit(n, nodes, suffix[0])
 
 
 def table_hash(c: Circuit) -> str:

@@ -18,7 +18,13 @@ from pctree.errors import (
 )
 from pctree.transforms import stage_metrics
 
-from oracles import chain_rule_table, frontier_triples, substitute_atom_derivative, table_hash
+from oracles import (
+    chain_rule_table,
+    frontier_triples,
+    layered_dag,
+    substitute_atom_derivative,
+    table_hash,
+)
 
 
 # -- binarize ---------------------------------------------------------------
@@ -125,12 +131,16 @@ def test_derivative_base_cases():
 
 
 def test_derivatives_read_no_ancestor_table():
-    # the derivative walk stops on degrees, so neither the reducer nor
-    # partial_derivative builds the quadratic ancestor masks
-    b = pt.binarize(pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5)))
-    pt.reduce_depth(b)
-    pt.partial_derivative(b, b.root, 0)
-    assert "ancestor_masks" not in vars(b) and "topo_positions" not in vars(b)
+    # the frontier, reach and derivative walks stop on degrees, so neither
+    # the reducer nor partial_derivative builds a quadratic mask table;
+    # hard-3 plans derivatives at gap > 1, which the dag corpus never does
+    for c in (pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5)),
+              pt.build_hard_instance(3)):
+        b = pt.binarize(c)
+        pt.reduce_depth(b)
+        assert "descendant_masks" not in vars(b)
+        pt.partial_derivative(b, b.root, 0)
+        assert "ancestor_masks" not in vars(b) and "topo_positions" not in vars(b)
 
 
 def _small_circuits():
@@ -189,6 +199,15 @@ def test_frontier_examples():
     wide = build_circuit(3, [Leaf(0), Leaf(1), Leaf(2), Product((0, 1, 2))], 3)
     with pytest.raises(NotBinary, match="node 3 has 3 children"):
         pt.degree_frontier(wide, 1)
+
+
+def test_frontier_members_match_the_scan_definition(small_corpus):
+    circuits = [b for _, b in small_corpus]
+    circuits += [pt.binarize(pt.build_hard_instance(k)) for k in (2, 3)]
+    for b in circuits:
+        for m in range(1, b.degree(b.root) + 1):
+            want = {t for t, _, _ in frontier_triples(b, m)}
+            assert pt.degree_frontier(b, m).members == want, m
 
 
 def test_frontier_nonempty_below_banded_nodes(small_corpus):
@@ -323,6 +342,15 @@ def test_reduce_depth_deterministic():
     a = pt.reduce_depth(c)
     b = pt.reduce_depth(c)
     assert a.nodes == b.nodes and a.root == b.root
+
+
+@pytest.mark.parametrize("n, w", [(6, 2), (6, 4), (5, 8)])
+def test_reduce_depth_is_exact_and_logarithmic_on_wide_dags(n, w):
+    # nearly every gate the reducer builds here is a derivative gate
+    c = layered_dag(n, w, seed=1)
+    reduced = pt.reduce_depth(pt.binarize(c))
+    assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(reduced), 1e-9)
+    assert reduced.stats().depth <= 2 * (n - 1).bit_length() + 1
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
@@ -534,9 +562,12 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "0c350ae938428aae10b5ec4b62cc67b165b3099d653f6193e3ceb820fb33c10e"),
     "hard-4": ("9f8b82742a9102235c802b465b72276c22613c9989d1b1430174b183e2b93051",
                "793df2c1f6097ded608e86ab082c681c9f6426f28152ac8e63f50d78766948e4"),
+    "layered-8-4": ("8cfe93d413417472ada85acdd3a2804e2e41d6263268fa4e136a5640ba7e3075",
+                    "236a01a306696f7a95137068e33bd04d251ea41b0cab9cbf7301e65f40409e45"),
 }
 GOLDEN_SIZES = {  # input: (reduce_depth output's node count, its depth)
     "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (547, 13), "hard-4": (2615, 17),
+    "layered-8-4": (721, 7),
 }
 
 
@@ -552,11 +583,14 @@ def test_treeify_output_is_node_for_node_pinned(name):
     renumbers the reduced table, such as a new gate build order, changes
     the first hash alone and keeps the node count and depth pinned in
     ``GOLDEN_SIZES``."""
-    kind, size = name.split("-")
+    kind, *sizes = name.split("-")
+    n, *w = map(int, sizes)
     if kind == "dag":
-        c = pt.random_valid_pc(pt.GenParams(n=int(size), seed=1, reuse_prob=0.5))
-    else:
-        c = pt.build_hard_instance(int(size))
+        c = pt.random_valid_pc(pt.GenParams(n=n, seed=1, reuse_prob=0.5))
+    elif kind == "hard":
+        c = pt.build_hard_instance(n)
+    else:  # layered-<n>-<w>, the derivative-heavy regime
+        c = layered_dag(n, *w, seed=1)
     reduced = pt.reduce_depth(pt.binarize(c))
     tree = pt.duplicate_to_tree(reduced)
     assert (table_hash(reduced), table_hash(tree)) == GOLDEN_HASHES[name]
