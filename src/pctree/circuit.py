@@ -2,11 +2,13 @@
 
 A circuit is a rooted DAG over dense integer node ids.  Leaves carry a
 variable indicator (``x_i`` or its negation ``~x_i``), internal nodes
-are weighted sums or plain products of other nodes.  The root computes a
-polynomial over the ``2 * num_vars`` indicator slots: slot ``2*i`` holds
-the value of ``x_i`` and slot ``2*i + 1`` the value of ``~x_i``.
-Evaluating at 0/1 slots gives probabilities, at all-ones marginalizes a
-variable out, and at arbitrary reals supports identity testing.
+are weighted sums or plain products of other nodes; every node kind has
+``children`` (a leaf's is ``()``), and :func:`_renumber` is the one way
+a pass drops nodes from a table.  The root computes a polynomial over
+the ``2 * num_vars`` indicator slots: slot ``2*i`` holds the value of
+``x_i`` and slot ``2*i + 1`` the value of ``~x_i``.  Evaluating at 0/1
+slots gives probabilities, at all-ones marginalizes a variable out, and
+at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
 pass over the stored topological order; the per-node tables (scopes,
@@ -23,7 +25,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import ClassVar, Iterable, Sequence, Union
 
 from .errors import (
     AssignmentLengthMismatch,
@@ -49,6 +51,7 @@ class Leaf:
 
     var: int
     negated: bool = False
+    children: ClassVar[tuple[int, ...]] = ()  # not a field: equality and documents ignore it
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,10 +81,6 @@ Node = Union[Leaf, Sum, Product]
 # evaluation plan step shapes: sums of one, two and more children,
 # products of two children and of any other number
 _SUM1, _SUM2, _SUMN, _PROD2, _PRODN = range(5)
-
-
-def _children(node: Node) -> tuple[int, ...]:
-    return () if isinstance(node, Leaf) else node.children
 
 
 def _bits(mask: int) -> list[int]:
@@ -183,7 +182,7 @@ class Circuit:
         while queue:
             v = queue.popleft()
             order.append(v)
-            for ch in _children(nodes[v]):
+            for ch in nodes[v].children:
                 remaining[ch] -= 1
                 if remaining[ch] == 0:
                     queue.append(ch)
@@ -205,10 +204,10 @@ class Circuit:
         return f"Circuit(num_vars={self.num_vars}, nodes={len(self.nodes)}, root={self.root})"
 
     def children(self, v: int) -> tuple[int, ...]:
-        return _children(self.nodes[v])
+        return self.nodes[v].children
 
     def is_binary(self) -> bool:
-        return all(len(_children(node)) <= 2 for node in self.nodes)
+        return all(len(node.children) <= 2 for node in self.nodes)
 
     @cached_property
     def _scope_masks(self) -> tuple[int, ...]:
@@ -262,7 +261,7 @@ class Circuit:
         masks = [0] * len(self.nodes)
         for v in self.topo_order:
             m = 1 << v
-            for ch in _children(self.nodes[v]):
+            for ch in self.nodes[v].children:
                 m |= masks[ch]
             masks[v] = m
         return tuple(masks)
@@ -275,7 +274,7 @@ class Circuit:
         for v in reversed(self.topo_order):
             m = masks[v] | 1 << v
             masks[v] = m
-            for ch in _children(self.nodes[v]):
+            for ch in self.nodes[v].children:
                 masks[ch] |= m
         return tuple(masks)
 
@@ -393,7 +392,7 @@ class Circuit:
         max_fanout = 0
         depth = [0] * len(self.nodes)
         for v in self.topo_order:
-            kids = _children(self.nodes[v])
+            kids = self.nodes[v].children
             if kids:
                 edges += len(kids)
                 max_fanout = max(max_fanout, len(kids))

@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import Circuit, Leaf, Node, Product, Sum
+from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber
 from .errors import (
     DanglingChild,
     InvalidInput,
@@ -54,8 +54,8 @@ from .errors import (
 )
 from .poly import SparsePolynomial, _Expander
 
-#: Default node budget for tree expansion; the worst case is exponential
-#: in the depth of the input, so expansion is always pre-counted.
+#: Node budget of every tree expansion, read at each call; the worst case
+#: is exponential in the depth of the input, so expansion is pre-counted.
 DEFAULT_TREE_BUDGET = 10 ** 7
 
 
@@ -212,7 +212,7 @@ def _below(c: Circuit, v: int, floor: int) -> set[int]:
     nodes, deg = c.nodes, c.degrees
     seen, stack = {v}, [v]
     while stack:
-        for ch in getattr(nodes[stack.pop()], "children", ()):  # a Leaf has none
+        for ch in nodes[stack.pop()].children:
             if ch not in seen and deg[ch] >= floor:
                 seen.add(ch)
                 stack.append(ch)
@@ -240,17 +240,16 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
 # ---------------------------------------------------------------------------
 
 class _Arena:
-    """Append-only node store for the circuit under construction.  An
-    entry is a :class:`Leaf`, ``(children, weights)`` for a sum or
-    ``(children, None)`` for a product; :func:`_compact` builds the
-    nodes."""
+    """Append-only node table of the circuit under construction: each
+    gate's leaf, sum or product node, built once after its children, so
+    ids are children-first.  :func:`_compact` keeps what the root reaches."""
 
     def __init__(self) -> None:
-        self.entries: list[Leaf | tuple] = []
+        self.entries: list[Node] = []
         self._leaves: dict[tuple[int, bool], int] = {}
 
-    def add(self, entry: Leaf | tuple) -> int:
-        self.entries.append(entry)
+    def add(self, node: Node) -> int:
+        self.entries.append(node)
         return len(self.entries) - 1
 
     def leaf(self, var: int, negated: bool = False) -> int:
@@ -260,14 +259,14 @@ class _Arena:
         return self._leaves[key]
 
     def product(self, children: list[int]) -> int:
-        return self.add((tuple(children), None))
+        return self.add(Product(children))
 
     def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> int:
         """Sum node of gate ``key``; the key names it if a weight is not finite."""
         weights = tuple(w for _, w in pairs)
         if not all(map(math.isfinite, weights)):
             raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
-        return self.add((tuple(p for p, _ in pairs), weights))
+        return self.add(Sum([p for p, _ in pairs], weights))
 
     def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> int | float:
         """Realize gate ``key``'s polynomial of degree <= 1: constants
@@ -406,22 +405,11 @@ def _compact(arena: _Arena, num_vars: int, root_id: int) -> Circuit:
     keep[root_id] = 1
     for v in range(root_id, -1, -1):
         if keep[v]:
-            entry = entries[v]
-            if not isinstance(entry, Leaf):
-                for ch in entry[0]:
-                    keep[ch] = 1
-    remap = [0] * (root_id + 1)
-    nodes: list[Node] = []
-    for v in range(root_id + 1):
-        if keep[v]:
-            remap[v] = len(nodes)
-            entry = entries[v]
-            if isinstance(entry, Leaf):
-                nodes.append(entry)
-                continue
-            kids, weights = entry
-            kids = tuple([remap[ch] for ch in kids])
-            nodes.append(Product(kids) if weights is None else Sum(kids, weights))
+            for ch in entries[v].children:
+                keep[ch] = 1
+    if all(keep):
+        return Circuit(num_vars, entries[:root_id + 1], root_id)
+    nodes, remap = _renumber(entries, keep)
     return Circuit(num_vars, nodes, remap[root_id])
 
 
@@ -429,27 +417,25 @@ def _compact(arena: _Arena, num_vars: int, root_id: int) -> Circuit:
 # tree expansion
 # ---------------------------------------------------------------------------
 
-def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Circuit:
+def duplicate_to_tree(c: Circuit) -> Circuit:
     """Clone shared sub-DAGs until every non-root node has exactly one
     parent: a post-order copy placed by subtree offsets.  Depth and
     polynomial are unchanged.
 
     A node's copied subtree has ``size[v] = 1 + sum of its children's
     sizes`` nodes; ``size[root]``, the number of root-to-node paths, is
-    checked against the budget before anything is copied.  A copy at
-    offset ``base`` sits at ``base + size[v] - 1``, after its children's
-    copies, which lie side by side from ``base`` on.  An explicit stack
-    places them, so deep inputs need no recursion.
+    checked against :data:`DEFAULT_TREE_BUDGET` before anything is
+    copied.  A copy at offset ``base`` sits at ``base + size[v] - 1``,
+    after its children's copies, which lie side by side from ``base``
+    on.  An explicit stack places them, so deep inputs need no recursion.
     """
     nodes = c.nodes
     size = [1] * len(nodes)
     for v in c.topo_order:  # children before parents
-        node = nodes[v]
-        if not isinstance(node, Leaf):
-            size[v] = 1 + sum([size[ch] for ch in node.children])
+        size[v] = 1 + sum([size[ch] for ch in nodes[v].children])
     total = size[c.root]
-    if total > node_budget:
-        raise SizeBudgetExceeded(f"expanded tree would have {total} nodes (budget {node_budget})")
+    if total > DEFAULT_TREE_BUDGET:
+        raise SizeBudgetExceeded(f"expanded tree would have {total} nodes (budget {DEFAULT_TREE_BUDGET})")
 
     out: list[Node | None] = [None] * total
     stack = [(c.root, 0)]
@@ -473,8 +459,7 @@ def duplicate_to_tree(c: Circuit, node_budget: int = DEFAULT_TREE_BUDGET) -> Cir
 # full pipeline
 # ---------------------------------------------------------------------------
 
-def treeify(c: Circuit, normalize_output: bool = False,
-            node_budget: int = DEFAULT_TREE_BUDGET) -> tuple[Circuit, PipelineReport]:
+def treeify(c: Circuit, normalize_output: bool = False) -> tuple[Circuit, PipelineReport]:
     """binarize -> reduce_depth -> (normalize) -> duplicate_to_tree,
     recording node/edge/depth metrics after every stage.
 
@@ -495,7 +480,7 @@ def treeify(c: Circuit, normalize_output: bool = False,
     constant = None
     if normalize_output:
         r, constant = normalize(r)
-    t = duplicate_to_tree(r, node_budget)
+    t = duplicate_to_tree(r)
     n = len(t.nodes)
     stages.append(StageMetrics("duplicate", n, n - 1, reduced.depth))
     if normalize_output:

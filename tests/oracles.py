@@ -105,16 +105,25 @@ def substitute_atom_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     return SparsePolynomial(c.num_vars, linear)
 
 
+def descendants(c: Circuit) -> list[set[int]]:
+    """Per node, the ids of the sub-DAG rooted there (the node itself
+    included), by one children-first sweep."""
+    below: list[set[int]] = [set() for _ in c.nodes]
+    for v in c.topo_order:
+        below[v] = {v}.union(*(below[ch] for ch in c.nodes[v].children))
+    return below
+
+
 def chain_rule_table(c: Circuit, polys: list[SparsePolynomial],
                      w: int) -> dict[int, SparsePolynomial]:
     """Derivatives of every ancestor of ``w`` by one bottom-up sweep of
-    the sum/product chain rules."""
-    desc = c.descendant_masks
+    the sum/product chain rules.  Children come first in the sweep, so a
+    node is an ancestor exactly when one of its children has an entry."""
     table = {w: SparsePolynomial.constant(c.num_vars, 1.0)}
     for v in c.topo_order:
-        if v == w or not desc[v] >> w & 1:
-            continue
         node = c.nodes[v]
+        if v == w or not any(ch in table for ch in node.children):
+            continue
         p = SparsePolynomial.zero(c.num_vars)
         if isinstance(node, Sum):
             for ch, wt in zip(node.children, node.weights):

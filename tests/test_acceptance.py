@@ -18,7 +18,7 @@ from pctree import SparsePolynomial
 from pctree.circuit import Product, Sum
 
 from conftest import corpus_params
-from oracles import chain_rule_table, frontier_triples, grow_nonsmooth_child
+from oracles import chain_rule_table, descendants, frontier_triples, grow_nonsmooth_child
 
 DEPTH_C1 = 2
 DEPTH_C2 = 1
@@ -92,7 +92,7 @@ def test_criterion_4_expansion_identity_suites(corpus50):
         b = pt.binarize(c)
         n = b.num_vars
         deg = b.degrees
-        desc = b.descendant_masks
+        desc = descendants(b)
         polys = pt.node_polynomials(b)
         zero = SparsePolynomial.zero(n)
         tables: dict[int, dict[int, SparsePolynomial]] = {}
@@ -146,7 +146,7 @@ def test_criterion_4_expansion_identity_suites(corpus50):
         for v in range(len(b.nodes)):
             dv = deg[v]
             for w in range(len(b.nodes)):
-                if v == w or not desc[v] >> w & 1 or dv >= 2 * deg[w]:
+                if v == w or w not in desc[v] or dv >= 2 * deg[w]:
                     continue
                 lhs = table(w)[v]
                 for m in range(deg[w], dv):

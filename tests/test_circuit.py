@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -22,6 +23,14 @@ def test_single_leaf_circuit():
     assert (s.num_nodes, s.num_edges, s.depth, s.is_tree) == (1, 0, 0, True)
     assert c.scope(0) == frozenset({0})
     assert c.degree(0) == 1
+
+
+def test_every_node_kind_has_children():
+    # a leaf's empty children are a class constant, not a field, so
+    # equality, hashing and the document format see only var and negated
+    assert Leaf(0).children == () and Leaf(3, True).children == ()
+    assert [f.name for f in dataclasses.fields(Leaf)] == ["var", "negated"]
+    assert Leaf(1, True) == Leaf(1, True) and hash(Leaf(1, True)) == hash(Leaf(1, True))
 
 
 def test_self_loop_is_a_cycle():

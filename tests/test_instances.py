@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import pctree as pt
-from pctree import build_circuit
+from pctree import SparsePolynomial, build_circuit
 from pctree.circuit import Leaf, Product, Sum
 from pctree.errors import EmptyProductNode, KTooLarge
 
@@ -101,6 +101,26 @@ def test_strip_negations_yields_pairing_polynomial(k):
 def test_strip_negations_without_negations_is_identity():
     c = build_circuit(2, [Leaf(0), Leaf(1), Product((0, 1))], 2)
     assert pt.strip_negations(c) is c
+
+
+def test_strip_negations_renumbers_a_parent_first_table():
+    # the root and a sum are listed before their kept children, with
+    # negation leaves between them
+    nodes = [
+        Product((2, 1, 5)),
+        Leaf(1, True),
+        Sum((6, 3, 4), (0.25, 0.5, 0.75)),
+        Leaf(0, True),
+        Leaf(0),
+        Leaf(1),
+        Product((4,)),
+    ]
+    stripped = pt.strip_negations(build_circuit(2, nodes, 0))
+    assert stripped.nodes == (Product((1, 3)), Sum((4, 2), (0.25, 0.75)),
+                              Leaf(0), Leaf(1), Product((2,)))
+    assert stripped.root == 0
+    x0_x1 = SparsePolynomial(2, {1 << 0 | 1 << 2: 1.0})
+    assert pt.poly_equal(pt.extract_polynomial(stripped), x0_x1, 0.0)
 
 
 def test_strip_negations_rejects_emptied_nodes():

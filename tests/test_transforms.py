@@ -20,6 +20,7 @@ from pctree.transforms import stage_metrics
 
 from oracles import (
     chain_rule_table,
+    descendants,
     frontier_triples,
     layered_dag,
     substitute_atom_derivative,
@@ -212,12 +213,12 @@ def test_frontier_members_match_the_scan_definition(small_corpus):
 
 def test_frontier_nonempty_below_banded_nodes(small_corpus):
     for _, b in small_corpus:
-        desc = b.descendant_masks
+        desc = descendants(b)
         for m in range(1, b.degree(b.root)):
             members = pt.degree_frontier(b, m).members
             for v in range(len(b.nodes)):
                 if m < b.degree(v) <= 2 * m:
-                    assert any(desc[v] >> t & 1 for t in members)
+                    assert not members.isdisjoint(desc[v])
 
 
 # -- frontier expansion identities ----------------------------------------------
@@ -245,7 +246,7 @@ def test_derivative_expansion_identity(small_corpus):
     for _, b in small_corpus[:6]:
         polys = pt.node_polynomials(b)
         deg = b.degrees
-        desc = b.descendant_masks
+        desc = descendants(b)
         tables = {}
 
         def table(w):
@@ -255,7 +256,7 @@ def test_derivative_expansion_identity(small_corpus):
 
         for v in range(len(b.nodes)):
             for w in range(len(b.nodes)):
-                if v == w or not desc[v] >> w & 1 or deg[v] >= 2 * deg[w]:
+                if v == w or w not in desc[v] or deg[v] >= 2 * deg[w]:
                     continue
                 lhs = table(w)[v]
                 for m in range(deg[w], deg[v]):
@@ -400,19 +401,33 @@ def test_duplicate_preserves_depth_and_polynomial(small_corpus):
         assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(out), 1e-9)
 
 
-def test_duplicate_budget():
+def test_duplicate_budget(monkeypatch):
     c = pt.random_valid_pc(pt.GenParams(n=8, seed=3, reuse_prob=0.6))
+    monkeypatch.setattr(pt.transforms, "DEFAULT_TREE_BUDGET", 10)
     with pytest.raises(SizeBudgetExceeded):
-        pt.duplicate_to_tree(c, node_budget=10)
+        pt.duplicate_to_tree(c)
+    with pytest.raises(SizeBudgetExceeded):
+        pt.treeify(c)
 
 
-def test_duplicate_budget_is_inclusive():
+def test_duplicate_budget_is_inclusive(monkeypatch):
     c = pt.random_valid_pc(pt.GenParams(n=8, seed=3, reuse_prob=0.6))
     size = len(pt.duplicate_to_tree(c).nodes)
     assert size > len(c.nodes)
-    assert len(pt.duplicate_to_tree(c, node_budget=size).nodes) == size
+    monkeypatch.setattr(pt.transforms, "DEFAULT_TREE_BUDGET", size)
+    assert len(pt.duplicate_to_tree(c).nodes) == size
+    monkeypatch.setattr(pt.transforms, "DEFAULT_TREE_BUDGET", size - 1)
     with pytest.raises(SizeBudgetExceeded, match=f"would have {size} nodes \\(budget {size - 1}\\)"):
-        pt.duplicate_to_tree(c, node_budget=size - 1)
+        pt.duplicate_to_tree(c)
+
+
+def test_duplicate_budget_at_the_default():
+    # 23 stacked two-edge sums over one leaf: 2**24 - 1 root-to-node paths,
+    # counted and refused before any copy is made
+    nodes = [Leaf(0)] + [Sum((v - 1, v - 1), (0.5, 0.5)) for v in range(1, 24)]
+    c = build_circuit(1, nodes, 23)
+    with pytest.raises(SizeBudgetExceeded, match="would have 16777215 nodes \\(budget 10000000\\)"):
+        pt.duplicate_to_tree(c)
 
 
 # -- treeify ----------------------------------------------------------------------
