@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import os
 import random
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .circuit import Circuit, Leaf, Product, Sum, _bits, slot
+from .circuit import Circuit, Leaf, Sum, _bits, slot
 from .errors import (
     AssignmentLengthMismatch,
     KTooLarge,
@@ -110,6 +111,9 @@ class SparsePolynomial:
         if not self.terms:
             return -1
         return max(m.bit_count() for m in self.terms)
+
+    def is_finite(self) -> bool:
+        return all(map(math.isfinite, self.terms.values()))
 
     def is_homogeneous(self) -> bool:
         degs = {m.bit_count() for m in self.terms}
@@ -207,9 +211,10 @@ def extract_polynomial(c: Circuit) -> SparsePolynomial:
 
     Raises :class:`TermBudgetExceeded` as soon as any intermediate result
     outgrows the monomial budget (:func:`term_budget`), so infeasible
-    circuits fail loudly instead of exhausting memory.
-    """
-    return _Expander(c).get(c.root)
+    circuits fail loudly instead of exhausting memory; an overflowed
+    coefficient raises :class:`NonFiniteValue` naming a node."""
+    polys = _Expander(c)
+    return polys.finite(polys.get(c.root), f"node {c.root}")
 
 
 def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0,
@@ -270,62 +275,80 @@ def pairing_polynomial(k: int) -> SparsePolynomial:
 
 
 def node_polynomials(c: Circuit) -> list[SparsePolynomial]:
-    """Exact polynomial of every node, in id order (same budget rule as
-    :func:`extract_polynomial`)."""
+    """Exact polynomial of every node, in id order (same budget and
+    finiteness rules as :func:`extract_polynomial`)."""
     polys = _Expander(c)
     polys.get(c.root)  # every node lies below the root
-    return [polys.memo[v] for v in range(len(c.nodes))]
+    return [polys.finite(polys.memo[v], f"node {v}") for v in range(len(c.nodes))]
+
+
+def _below(c: Circuit, v: int, floor: int) -> set[int]:
+    """``v`` and the nodes reachable from it through nodes of degree at
+    least ``floor``: as degrees never grow downward, every descendant of
+    that degree, found without entering a node below the floor."""
+    nodes, deg = c.nodes, c.degrees
+    seen, stack = {v}, [v]
+    while stack:
+        for ch in nodes[stack.pop()].children:
+            if ch not in seen and deg[ch] >= floor:
+                seen.add(ch)
+                stack.append(ch)
+    return seen
 
 
 class _Expander:
-    """Memoized exact node polynomials of one circuit, and their partial
-    derivatives, expanded on demand under the :func:`term_budget` cap.
-    Every product, of a node's children or of the chain rule's co-factors,
-    folds its unit monomial factors into one mask, then multiplies the
-    rest in child order (:meth:`_product`)."""
+    """Memoized exact node polynomials of one circuit, and the partial
+    derivatives of a node, expanded on demand under the :func:`term_budget`
+    cap.  Every product folds its unit monomial factors into one mask, then
+    multiplies the rest in order (:meth:`_product`)."""
 
     def __init__(self, c: Circuit):
         self.c = c
         self.cap = term_budget()
         self.memo: dict[int, SparsePolynomial] = {}
+        #: ``_below(c, v, floor)``, memoized: the reducer's adjoint passes,
+        #: pivots and reach often ask for the same region
+        self.below = cache(lambda v, floor: _below(c, v, floor))
 
-    def _walk(self, v: int, done: dict[int, SparsePolynomial], rule: Callable,
-              w: int | None = None) -> SparsePolynomial:
-        """``done[v]``, after an iterative post-order walk has set ``done[u] =
-        rule(u)`` for each node ``u`` below ``v`` missing there; deriving by
-        ``w``, it enters no child of degree below ``deg(w)``, as degrees
-        never grow downward.  A result past the cap, or a product that is not
-        multilinear, names ``u`` or ``(u, w)``."""
-        c, cap, deg = self.c, self.cap, self.c.degrees
-        low = 0 if w is None else deg[w]
+    def held(self, name: str, rule: Callable[[], SparsePolynomial]) -> SparsePolynomial:
+        """``rule()``, held to the cap: a result past it, a product inside
+        ``rule`` that outgrows it, or one that is not multilinear, raises an
+        error naming ``name``."""
+        try:
+            p = rule()
+        except TermBudgetExceeded:
+            p = None
+        except NotMultilinear as e:
+            raise NotMultilinear(f"{name}: {e}") from e
+        if p is None or len(p.terms) > self.cap:
+            raise TermBudgetExceeded(f"{name} expands past {self.cap} monomials")
+        return p
 
-        def where(u: int) -> str:
-            return f"node {u}" if w is None else f"derivative of node {u} by node {w}"
-
-        stack = [v]
-        while stack:
-            u = stack[-1]
-            if u in done:
-                stack.pop()
-                continue
-            missing = [ch for ch in c.children(u) if ch not in done and deg[ch] >= low]
-            if missing:
-                stack.extend(missing)
-                continue
-            try:
-                p = rule(u)
-            except TermBudgetExceeded:
-                p = None  # a product inside the rule outgrew the cap
-            except NotMultilinear as e:
-                raise NotMultilinear(f"{where(u)}: {e}") from e
-            if p is None or len(p.terms) > cap:
-                raise TermBudgetExceeded(f"{where(u)} expands past {cap} monomials")
-            done[u] = p
-        return done[v]
+    def finite(self, p: SparsePolynomial, name: str) -> SparsePolynomial:
+        """``p``, unless a coefficient is not finite: then
+        :class:`NonFiniteValue` names the first node in topological order
+        whose memoized polynomial has one, or else ``name``.  Inf and NaN
+        carry through every later sum and product, so results suffice."""
+        if p.is_finite():
+            return p
+        bad = (f"node {v}" for v in self.c.topo_order
+               if v in self.memo and not self.memo[v].is_finite())
+        raise NonFiniteValue(f"{next(bad, name)}: a coefficient is not finite")
 
     def get(self, v: int) -> SparsePolynomial:
-        """``v``'s polynomial, expanding the part not memoized yet."""
-        return self._walk(v, self.memo, self._value)
+        """``v``'s polynomial: an iterative post-order walk expands each
+        node below ``v`` not memoized yet, held to the cap."""
+        memo, nodes = self.memo, self.c.nodes
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if u < 0:  # every child of ~u is memoized
+                u = ~u
+                memo[u] = self.held(f"node {u}", lambda: self._value(u))
+            elif u not in memo:  # a copy of u above ~u would close a cycle
+                stack.append(~u)
+                stack.extend([ch for ch in nodes[u].children if ch not in memo])
+        return memo[v]
 
     def _value(self, u: int) -> SparsePolynomial:
         node, n = self.c.nodes[u], self.c.num_vars
@@ -361,29 +384,37 @@ class _Expander:
             p = p.mul(f, max_terms=self.cap)
         return p
 
-    def derivative(self, w: int, u: int) -> SparsePolynomial:
-        """``d_w f(u)`` by the chain rule, memoized for this call; nodes that
-        do not reach ``w`` give zero, and the product rule's co-factors come
-        from :meth:`get`."""
-        c, n = self.c, self.c.num_vars
-        d = {w: SparsePolynomial.constant(n, 1.0)}
-
-        def chain_rule(u: int) -> SparsePolynomial:
-            node = c.nodes[u]
-            p = SparsePolynomial.zero(n)
-            if isinstance(node, Sum):
-                for ch, wt in zip(node.children, node.weights):
-                    if ch in d:
-                        p = p.add(d[ch], wt)
-            elif isinstance(node, Product):
-                # decomposability means at most one child can reach w,
-                # but the sum over children stays correct without it
-                for j, ch in enumerate(node.children):
-                    term = d.get(ch)
-                    if term is None or term.is_zero():
-                        continue
-                    p = p.add(self._product([term] + [self.get(other) for i, other
-                                                      in enumerate(node.children) if i != j]))
-            return p
-
-        return self._walk(u, d, chain_rule, w)
+    def adjoints(self, u: int, floor: int) -> dict[int, SparsePolynomial]:
+        """``d_w f(u)`` for every ``w`` in ``_below(c, u, floor)`` by one
+        reverse pass (Baur and Strassen): from ``adj[u] = 1``, each node,
+        once all of its parents there have passed theirs to it, passes
+        ``weight * adj`` to each child there if a sum, and ``adj`` times the
+        other children's values if a product.  Each adjoint is held to the
+        cap; errors name no pair, which is the caller's to name."""
+        nodes, cap, region = self.c.nodes, self.cap, self.below(u, floor)
+        waiting = dict.fromkeys(region, 0)
+        for v in region:
+            for ch in nodes[v].children:
+                if ch in waiting:
+                    waiting[ch] += 1
+        adj = {u: SparsePolynomial.constant(self.c.num_vars, 1.0)}
+        ready = [u]
+        while ready:
+            v = ready.pop()
+            a = adj[v]
+            if len(a.terms) > cap:
+                raise TermBudgetExceeded(f"the adjoint of node {v} expands past {cap} monomials")
+            node = nodes[v]
+            for j, ch in enumerate(node.children):
+                if ch not in region:
+                    continue
+                if isinstance(node, Sum):
+                    part = a.scaled(node.weights[j])
+                else:
+                    part = self._product([a] + [self.get(other) for i, other
+                                                in enumerate(node.children) if i != j])
+                adj[ch] = adj[ch].add(part) if ch in adj else part
+                waiting[ch] -= 1
+                if not waiting[ch]:
+                    ready.append(ch)
+        return adj

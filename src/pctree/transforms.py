@@ -24,15 +24,16 @@ materialized: they fold into the edge weights of the sums that use them.
 Only the gates the root's gate reaches are built, by one iterative
 post-order walk over gate keys from the root's value.  A key at degree
 gap at most one is built when popped: an indicator leaf, or an affine
-gate over the value or the derivative (one chain-rule walk down from
-``u``, entering no node of degree below ``deg(w)``).  Any other key gets
-its summand plan (the frontier pivots below it and the three factor
+gate over the value or the derivative ``d_w f(u)``, read from one reverse
+pass down from ``u`` that gives the derivatives by every node of degree
+at least ``deg(w)`` at once, memoized per ``(u, deg(w))``.  Any other key
+gets its summand plan (the frontier pivots below it and the three factor
 keys of each), then its factors are walked, and it is built once they
 all are.  The pivots, and whether a pivot's child reaches ``w``, come
-from one memoized walk that likewise enters no node below a degree
-floor.  Constant folding happens while building, so a few gates may go
-unused; the final reachability pass drops them.  The output depends
-only on the circuit's nodes and root, not on its ``topo_order``.
+from the same degree-floored walk.  Constant folding happens while
+building, so a few gates may go unused; the final reachability pass
+drops them.  The output depends only on the circuit's nodes and root,
+not on its ``topo_order``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .errors import (
     SizeBudgetExceeded,
     ZeroWeightSum,
 )
-from .poly import SparsePolynomial, _Expander
+from .poly import SparsePolynomial, _below, _Expander
 
 #: Node budget of every tree expansion, read at each call; the worst case
 #: is exponential in the depth of the input, so expansion is pre-counted.
@@ -193,36 +194,29 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
 
 def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     """Exact partial derivative of ``v``'s polynomial with respect to the
-    polynomial of node ``w`` (the zero polynomial when ``w`` is not a
-    descendant of ``v``)."""
+    polynomial of node ``w`` (zero when ``w`` is not below ``v``), by one
+    reverse pass down from ``v``; an error names the pair.  The pass forms
+    the co-factor of every node of degree at least ``deg(w)`` below ``v``,
+    so a circuit that is not decomposable can raise :class:`NotMultilinear`
+    even where the paths to ``w`` multiply no overlapping factors."""
     n = len(c.nodes)
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
-    return _Expander(c).derivative(w, v)
+    polys, pair = _Expander(c), f"derivative of node {v} by node {w}"
+    zero = SparsePolynomial.zero(c.num_vars)
+    return polys.finite(polys.held(pair, lambda: polys.adjoints(v, c.degrees[w]).get(w, zero)),
+                        pair)
 
 
 # ---------------------------------------------------------------------------
 # degree frontier
 # ---------------------------------------------------------------------------
 
-def _below(c: Circuit, v: int, floor: int) -> set[int]:
-    """``v`` and the nodes reachable from it through nodes of degree at
-    least ``floor``: as degrees never grow downward, every descendant of
-    that degree, found without entering a node below the floor."""
+def _pivots(c: Circuit, region: set[int], m: int) -> list[int]:
+    """The products in ``region`` straddling threshold ``m``, ascending;
+    ``_below(c, u, m + 1)`` holds all of those below ``u``."""
     nodes, deg = c.nodes, c.degrees
-    seen, stack = {v}, [v]
-    while stack:
-        for ch in nodes[stack.pop()].children:
-            if ch not in seen and deg[ch] >= floor:
-                seen.add(ch)
-                stack.append(ch)
-    return seen
-
-
-def _pivots(c: Circuit, u: int, m: int) -> list[int]:
-    """The products below ``u`` straddling threshold ``m``, ascending."""
-    nodes, deg = c.nodes, c.degrees
-    return sorted(t for t in _below(c, u, m + 1) if deg[t] > m and isinstance(nodes[t], Product)
+    return sorted(t for t in region if deg[t] > m and isinstance(nodes[t], Product)
                   and max([deg[ch] for ch in nodes[t].children]) <= m)
 
 
@@ -232,7 +226,7 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
     if m < 1:
         raise ValueError("threshold m must be >= 1")
     _require_binary(c, "the degree frontier is defined for binary circuits")
-    return FrontierSet(m, frozenset(_pivots(c, c.root, m)))
+    return FrontierSet(m, frozenset(_pivots(c, _below(c, c.root, m + 1), m)))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +319,8 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     arena = _Arena()
     gates: _GateTable = {}
     polys = _Expander(circuit)
-    pivots = cache(lambda u, m: _pivots(circuit, u, m))
-    reach = cache(lambda v, floor: _below(circuit, v, floor))
+    adjoints = cache(polys.adjoints)
+    pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
 
     def plan(u: int, w: int | None, lo: int) -> list[tuple[tuple[int, int | None], ...]]:
         """Factor keys of each summand of gate ``(u, w)`` in band ``lo``:
@@ -345,7 +339,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 # the derivative flows through the heavier child t1; on a
                 # degree tie neither child reaches w, as deg(t) < 2 deg(w)
                 t1, t2 = (a, b) if deg[a] > deg[b] else (b, a)
-                if w not in reach(t1, deg[w]):
+                if w not in polys.below(t1, deg[w]):
                     continue  # derivative cannot flow through t1: zero summand
                 a, b = t2, t1
             summands.append(((a, None), (b, w), (u, t)))
@@ -371,8 +365,8 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 if w is None and isinstance(node, Leaf):
                     gates[key] = arena.leaf(node.var, node.negated)
                 else:
-                    gates[key] = arena.affine_gate(key, polys.get(u) if w is None
-                                                   else polys.derivative(w, u))
+                    gates[key] = arena.affine_gate(key, polys.get(u) if w is None else polys.held(
+                        f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]))
                 continue
             summands = plan(u, w, 1 << ((gap - 1).bit_length() - 1))
             stack.append((key, summands))

@@ -215,6 +215,18 @@ def test_module_errors_exit_one(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+def test_exact_equiv_rejects_overflowed_coefficients(tmp_path, capsys):
+    paths = []
+    for scale in (1e300, 1e301):  # x0 * x1 with coefficient 1e600, then 1e601
+        paths.append(str(tmp_path / f"{scale}.json"))
+        write_circuit(pt.build_circuit(2, [pt.Leaf(0), pt.Sum((0,), (1e300,)), pt.Leaf(1),
+                                           pt.Sum((2,), (scale,)), pt.Product((1, 3))], 4),
+                      paths[-1])
+    code, out, err = run(capsys, "equiv", "--a", paths[0], "--b", paths[1], "--exact")
+    assert code == 1 and out == ""
+    assert err.startswith("error: node 4: a coefficient is not finite") and err.count("\n") == 1
+
+
 def test_term_budget_env(tmp_path, capsys, monkeypatch):
     a = str(tmp_path / "a.json")
     main(["gen-hard", "--k", "2", "--out", a])

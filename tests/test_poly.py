@@ -141,6 +141,10 @@ def test_non_multilinear_product_names_the_node():
     c = build_circuit(2, [Leaf(0), Leaf(1), Leaf(1), Product((0, 1, 2))], 3)
     with pytest.raises(NotMultilinear, match=r"^derivative of node 3 by node 0: product"):
         pt.partial_derivative(c, 3, 0)
+    # d f(3) / d x1 = x0 * x1 never multiplies x1 by x1, but the reverse
+    # pass from node 3 forms every co-factor below it, node 0's included
+    with pytest.raises(NotMultilinear, match=r"^derivative of node 3 by node 1: product"):
+        pt.partial_derivative(c, 3, 1)
     c = build_circuit(2, [Leaf(0), Leaf(1), Leaf(1), Product((1, 2)), Product((0, 3))], 4)
     with pytest.raises(NotMultilinear, match=r"^derivative of node 4 by node 0: node 3: "):
         pt.partial_derivative(c, 4, 0)
@@ -174,6 +178,23 @@ def test_term_budget_env_override(monkeypatch):
         monkeypatch.setenv("PC_TERM_BUDGET", text)
         with pytest.raises(ValueError, match="PC_TERM_BUDGET"):
             pt.extract_polynomial(pt.build_hard_instance(2))
+
+
+def test_overflowed_coefficients_raise_naming_the_node():
+    # x0 * x1 with coefficient 1e600 against 1e601: both overflow to inf,
+    # so comparing them would call b, ten times a, equal to a
+    def overflowing(scale):
+        return build_circuit(2, [Leaf(0), Sum((0,), (1e300,)), Leaf(1), Sum((2,), (scale,)),
+                                 Product((1, 3))], 4)
+
+    for c in (overflowing(1e300), overflowing(1e301)):
+        with pytest.raises(NonFiniteValue, match=r"^node 4: a coefficient is not finite"):
+            pt.extract_polynomial(c)
+        with pytest.raises(NonFiniteValue, match=r"^node 4: "):
+            pt.node_polynomials(c)
+        # every value polynomial of d f(4) / d x0 = 1e300 * (1e300 * x1) is finite
+        with pytest.raises(NonFiniteValue, match=r"^derivative of node 4 by node 0: a coeff"):
+            pt.partial_derivative(c, 4, 0)
 
 
 def test_poly_equal():
