@@ -12,11 +12,11 @@ at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
 pass over the stored topological order; the per-node tables (scopes,
-degrees, descendant and ancestor masks) and the flat evaluation plan that
-:meth:`Circuit.evaluate` runs are built on first use and cached on the
-instance, while :meth:`Circuit.validity` and :meth:`Circuit.stats`
-recompute on every call.  Transforms elsewhere in the package always
-build fresh circuits, so instances are safe to share across threads.
+degrees, descendant and ancestor masks) and the plan that
+:meth:`Circuit.evaluate` runs, one step per distinct subcircuit, are
+built on first use and cached on the instance, while :meth:`validity`
+and :meth:`stats` recompute on every call.  Transforms elsewhere in the
+package always build fresh circuits, so instances are safe to share.
 """
 
 from __future__ import annotations
@@ -281,40 +281,40 @@ class Circuit:
     # -- evaluation -----------------------------------------------------------
 
     @cached_property
-    def _evaluation_plan(self) -> tuple[list[int], list[tuple]]:
-        """The program :meth:`evaluate` runs: the distinct indicator slots
-        the leaves read, in order of first use in ``topo_order``, then one
-        step per internal node in ``topo_order``.  A step reads positions
-        in the value list (slot values first, then step results), so the
-        root's value is the last one."""
+    def _evaluation_plan(self) -> tuple[int, list[tuple]]:
+        """The program :meth:`evaluate` runs: the root's position and the
+        steps.  Positions ``0..2n-1`` hold the slot values (a leaf's
+        position is its slot) and step ``i`` writes ``2n + i``.  One pass
+        over ``topo_order`` keys each internal node by shape, operand
+        positions and weights; a key already planned reuses its step, so
+        each distinct subcircuit (a tree's copies of a shared node) runs once."""
+        width = 2 * self.num_vars
         pos = [0] * len(self.nodes)
-        at: dict[int, int] = {}  # slot -> position, in order of first use
+        planned: dict[tuple, int] = {}  # step -> its position
         for v in self.topo_order:
             node = self.nodes[v]
-            if isinstance(node, Leaf):
-                pos[v] = at.setdefault(slot(node.var, node.negated), len(at))
-        steps: list[tuple] = []
-        for v in self.topo_order:
-            node = self.nodes[v]
-            if isinstance(node, Leaf):
+            kids = node.children
+            if not kids:  # a leaf
+                pos[v] = slot(node.var, node.negated)
                 continue
-            kids = [pos[ch] for ch in node.children]
-            if isinstance(node, Product):
-                step = ((_PROD2, kids[0], kids[1], 0.0, 0.0) if len(kids) == 2
-                        else (_PRODN, tuple(kids), 0, 0.0, 0.0))
+            if len(kids) == 2:  # most nodes; unpacked, not listed, for speed
+                a, b = kids
+                step = ((_PROD2, pos[a], pos[b], 0.0, 0.0) if isinstance(node, Product)
+                        else (_SUM2, pos[a], pos[b]) + node.weights)
+            elif isinstance(node, Product):
+                step = (_PRODN, tuple([pos[ch] for ch in kids]), 0, 0.0, 0.0)
             elif len(kids) == 1:
-                step = (_SUM1, kids[0], 0, node.weights[0], 0.0)
-            elif len(kids) == 2:
-                step = (_SUM2, kids[0], kids[1], *node.weights)
+                step = (_SUM1, pos[kids[0]], 0, node.weights[0], 0.0)
             else:
-                step = (_SUMN, tuple(zip(kids, node.weights)), 0, 0.0, 0.0)
-            pos[v] = len(at) + len(steps)
-            steps.append(step)
-        return list(at), steps
+                step = (_SUMN, tuple(zip([pos[ch] for ch in kids], node.weights)), 0, 0.0, 0.0)
+            # 0.0 and -0.0 weights key alike; sums start at +0.0, so both add the same
+            pos[v] = planned.setdefault(step, width + len(planned))
+        return pos[self.root], list(planned)
 
     def evaluate(self, assignment: Sequence[float]) -> float:
         """Bottom-up evaluation; ``assignment[2*i]`` feeds ``x_i`` and
-        ``assignment[2*i + 1]`` feeds ``~x_i``.
+        ``assignment[2*i + 1]`` feeds ``~x_i``, each through ``float()``
+        (a non-number raises even in a slot no leaf reads).
 
         Runs the cached evaluation plan.  Every value equals, bit for bit,
         what a per-node loop gives with ``sum()`` over each sum's weighted
@@ -322,8 +322,8 @@ class Circuit:
         if len(assignment) != 2 * self.num_vars:
             raise AssignmentLengthMismatch(
                 f"expected {2 * self.num_vars} slot values, got {len(assignment)}")
-        slots, steps = self._evaluation_plan
-        vals = [float(assignment[s]) for s in slots]
+        root, steps = self._evaluation_plan
+        vals = list(map(float, assignment))
         push = vals.append
         for op, a, b, wa, wb in steps:
             # ``0.0 +`` as in sum(), which starts at 0: -0.0 terms total +0.0
@@ -341,7 +341,7 @@ class Circuit:
                 for ch in a:
                     acc *= vals[ch]
                 push(acc)
-        return vals[-1]
+        return vals[root]
 
     # -- analyses -------------------------------------------------------------
 

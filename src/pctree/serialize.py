@@ -77,7 +77,7 @@ def circuit_from_document(doc: Any) -> Circuit:
         if not isinstance(rec, dict):
             raise SchemaError("each node must be a JSON object")
         kind = rec.get("kind")
-        if kind not in _FIELDS:
+        if not isinstance(kind, str) or kind not in _FIELDS:
             raise SchemaError(f"unknown node kind {kind!r}")
         required, optional = _FIELDS[kind]
         keys = set(rec)
@@ -119,7 +119,7 @@ def read_circuit(path: str | os.PathLike) -> Circuit:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
         raise ParseError(f"{path}: {exc}") from exc
     return circuit_from_document(doc)
 

@@ -171,6 +171,22 @@ def test_evaluate_matches_float_loop_exactly():
     neg_zero = [Leaf(0), Leaf(1, True), Leaf(2, True), Product((0, 1)), Product((0, 2))]
     circuits.append(build_circuit(3, neg_zero + [Sum((3, 4), (0.5, 0.5))], 5))
     circuits.append(build_circuit(2, neg_zero[:2] + [Product((0, 1)), Sum((2,), (1.0,))], 3))
+    # twin sums whose weights differ only in the sign of a zero share one
+    # plan step; at negative points their zero terms differ in sign
+    twins = [Leaf(0), Leaf(1), Leaf(2), Sum((0, 1), (0.0, 0.5)), Sum((0, 1), (-0.0, 0.5)),
+             Sum((0, 1, 2), (0.25, -0.0, 0.5)), Sum((0, 1, 2), (0.25, 0.0, 0.5))]
+    circuits.append(build_circuit(3, twins + [Product((3, 4, 5, 6))], 7))
+    assert len(circuits[-1]._evaluation_plan[1]) == 3
+    # one leaf reading slot 2 of 6: the root is not the last value
+    circuits.append(build_circuit(3, [Leaf(1)], 0))
+    # every copy duplicate_to_tree makes of a node keys to the same step
+    dag = pt.random_valid_pc(pt.GenParams(n=6, seed=0, reuse_prob=0.5))
+    reduced = pt.reduce_depth(pt.binarize(dag))
+    assert len(set(reduced.nodes)) == len(reduced.nodes)  # no equal nodes
+    circuits.append(pt.duplicate_to_tree(reduced))
+    assert len(circuits[-1].nodes) > 2 * len(reduced.nodes)
+    internal = sum(not isinstance(node, Leaf) for node in reduced.nodes)
+    assert len(circuits[-1]._evaluation_plan[1]) <= internal
 
     shapes = set()
     for c in circuits:
@@ -190,6 +206,8 @@ def test_evaluate_matches_float_loop_exactly():
             got, want = c.evaluate(a), float_evaluate(c, a)
             # equal to the last bit, the sign of a zero included
             assert got == want and repr(got) == repr(want)
+        negative = [-rng.uniform(0.5, 2.0) for _ in range(width)]
+        assert repr(c.evaluate(negative)) == repr(float_evaluate(c, negative))
 
 
 def test_marginal_slots_sum_out_a_variable(small_corpus):

@@ -196,6 +196,14 @@ def test_module_errors_exit_one(tmp_path, capsys):
     broken.write_text("{oops")
     code, _, err = run(capsys, "check", "--in", str(broken))
     assert code == 1 and err.startswith("error:")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    unhashable = tmp_path / "kind.json"
+    unhashable.write_text(json.dumps({"version": 1, "num_vars": 1, "root": 0, "nodes": [
+        {"id": 0, "kind": ["leaf"], "var": 0}]}))
+    for path in (deep, unhashable):
+        code, out, err = run(capsys, "stats", "--in", str(path))
+        assert code == 1 and out == "" and err.startswith("error:") and err.count("\n") == 1
     code, _, err = run(capsys, "gen-hard", "--k", "0", "--out", str(tmp_path / "h.json"))
     assert code == 1 and err.startswith("error:")
     code, _, err = run(capsys, "gen-random", "--n", "4", "--reuse", "1.5",

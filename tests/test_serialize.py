@@ -121,6 +121,8 @@ def test_schema_errors():
         (lambda d: d.update(nodes=[[0, "leaf", 0]] + d["nodes"][1:]), "JSON object"),
         (lambda d: d["nodes"][4].update(children=[0, 1, 5, 6.0]), "list of integers"),
         (lambda d: d["nodes"][10].update(weights=["1", "1"]), "list of numbers"),
+        # a list is unhashable: the kind lookup must not raise TypeError
+        (lambda d: d["nodes"][0].update(kind=["leaf"]), r"unknown node kind \['leaf'\]"),
     ]
     for edit, message in cases:
         with pytest.raises(SchemaError, match=message):
@@ -147,6 +149,10 @@ def test_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     with pytest.raises(ParseError):
+        read_circuit(path)
+    # nesting deeper than the decoder's recursion limit
+    path.write_text("[" * 100_000)
+    with pytest.raises(ParseError, match="broken.json"):
         read_circuit(path)
 
 
