@@ -203,9 +203,6 @@ class Circuit:
     def __repr__(self) -> str:
         return f"Circuit(num_vars={self.num_vars}, nodes={len(self.nodes)}, root={self.root})"
 
-    def children(self, v: int) -> tuple[int, ...]:
-        return self.nodes[v].children
-
     def is_binary(self) -> bool:
         return all(len(node.children) <= 2 for node in self.nodes)
 

@@ -107,9 +107,9 @@ def stage_metrics(stage: str, c: Circuit) -> StageMetrics:
 
 def _require_binary(c: Circuit, message: str) -> None:
     """Raise :class:`NotBinary` naming the first node with over two children."""
-    for v in range(len(c.nodes)):
-        if len(c.children(v)) > 2:
-            raise NotBinary(f"{message} (node {v} has {len(c.children(v))} children)")
+    if not c.is_binary():
+        v = next(v for v, node in enumerate(c.nodes) if len(node.children) > 2)
+        raise NotBinary(f"{message} (node {v} has {len(c.nodes[v].children)} children)")
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +118,12 @@ def _require_binary(c: Circuit, message: str) -> None:
 
 def binarize(c: Circuit) -> Circuit:
     """Rewrite every node with more than two children into a chain of
-    alternating sum/product intermediates, preserving the polynomial.
+    binary nodes of its own kind, preserving the polynomial.
 
-    A k-ary node keeps its first child and hands the rest to a chain of
-    2(k-1) fresh nodes whose types alternate, so no introduced sum feeds
-    a sum and no introduced product feeds a product.  Already-binary
-    circuits are returned unchanged.
+    A k-ary node keeps its first child and hands the rest to a
+    right-leaning chain of k-2 fresh nodes, appended deepest first; each
+    sum link carries its child's weight and weight 1.0 into the next
+    link.  Already-binary circuits are returned unchanged.
     """
     report = c.validity()
     if not report.ok:
@@ -132,25 +132,20 @@ def binarize(c: Circuit) -> Circuit:
     if c.is_binary():
         return c
     nodes: list[Node] = list(c.nodes)
-
-    def add(node: Node) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
     for v, node in enumerate(c.nodes):
-        if isinstance(node, Leaf) or len(node.children) <= 2:
-            continue
         kids = node.children
-        if isinstance(node, Sum):
-            tail = add(Product((add(Sum((kids[-1],), (node.weights[-1],))),)))
-            for j in range(len(kids) - 2, 0, -1):
-                tail = add(Product((add(Sum((kids[j], tail), (node.weights[j], 1.0))),)))
-            nodes[v] = Sum((kids[0], tail), (node.weights[0], 1.0))
-        else:
-            tail = add(Sum((add(Product((kids[-1],))),), (1.0,)))
-            for j in range(len(kids) - 2, 0, -1):
-                tail = add(Sum((add(Product((kids[j], tail))),), (1.0,)))
-            nodes[v] = Product((kids[0], tail))
+        if len(kids) <= 2:
+            continue
+        weights = node.weights if isinstance(node, Sum) else (1.0,) * len(kids)
+        tail, tail_weight = kids[-1], weights[-1]
+        for j in range(len(kids) - 2, -1, -1):
+            pair = (kids[j], tail)
+            link = Sum(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product(pair)
+            if j == 0:
+                nodes[v] = link
+            else:
+                nodes.append(link)
+                tail, tail_weight = len(nodes) - 1, 1.0
     return Circuit(c.num_vars, nodes, c.root)
 
 

@@ -30,24 +30,37 @@ from oracles import (
 
 # -- binarize ---------------------------------------------------------------
 
+def _wide_nodes():
+    """3- and 5-ary sums, a 4-ary product and a 130-child product, the
+    width of the widest products of ``build_hard_instance(4)``."""
+    for k in (3, 5):
+        leaves = [Leaf(0, j % 2 == 1) for j in range(k)]
+        yield build_circuit(1, [*leaves, Sum(tuple(range(k)), tuple(range(1, k + 1)))], k)
+    for k in (4, 130):
+        yield build_circuit(k, [*map(Leaf, range(k)), Product(tuple(range(k)))], k)
+
+
 def test_binarize_chains_wide_nodes():
-    wide = build_circuit(1, [Leaf(0), Leaf(0, True), Leaf(0),
-                             Sum((0, 1, 2), (0.2, 0.3, 0.5))], 3)
-    out = pt.binarize(wide)
-    assert len(out.nodes) == len(wide.nodes) + 4  # 2*(k-1) for k=3
-    assert out.is_binary()
-    assert pt.poly_equal(pt.extract_polynomial(wide), pt.extract_polynomial(out), 1e-9)
+    for wide in _wide_nodes():
+        k = len(wide.nodes[wide.root].children)
+        out = pt.binarize(wide)
+        assert len(out.nodes) == len(wide.nodes) + k - 2
+        assert out.is_binary()
+        assert pt.poly_equal(pt.extract_polynomial(wide), pt.extract_polynomial(out), 1e-9)
 
 
-def test_binarize_alternates_intermediate_kinds():
-    wide = build_circuit(4, [Leaf(0), Leaf(1), Leaf(2), Leaf(3),
-                             Product((0, 1, 2, 3))], 4)
-    out = pt.binarize(wide)
-    for v in range(len(wide.nodes), len(out.nodes)):
-        node = out.nodes[v]
-        for ch in node.children:
-            if ch >= len(wide.nodes):
-                assert type(out.nodes[ch]) is not type(node)
+def test_binarize_chains_keep_the_parent_kind():
+    for wide in _wide_nodes():
+        parent = wide.nodes[wide.root]
+        out = pt.binarize(wide)
+        fresh = out.nodes[len(wide.nodes):]
+        assert fresh and all(len(node.children) == 2 for node in fresh)
+        assert all(type(node) is type(parent) for node in fresh)
+        if isinstance(parent, Sum):
+            # a chain edge is an edge into a fresh node
+            chain = [w for node in (out.nodes[out.root], *fresh)
+                     for ch, w in zip(node.children, node.weights) if ch >= len(wide.nodes)]
+            assert chain == [1.0] * len(fresh)
 
 
 def test_binarize_keeps_binary_circuits():
@@ -64,7 +77,7 @@ def test_binarize_requires_validity():
 def test_binarize_bounds_and_polynomials(small_corpus):
     for c, b in small_corpus:
         assert b.is_binary()
-        assert len(b.nodes) - len(c.nodes) <= 2 * c.stats().num_edges
+        assert len(b.nodes) - len(c.nodes) == sum(max(len(node.children) - 2, 0) for node in c.nodes)
         assert b.validity().ok
         assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(b), 1e-9)
 
@@ -376,7 +389,7 @@ def test_reduce_depth_ignores_topological_order(n):
     for seed in range(1, 6):
         c = pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=0.5, max_fanout=2))
         assert c.is_binary()
-        assert all(ch < v for v in range(len(c.nodes)) for ch in c.children(v))
+        assert all(ch < v for v in range(len(c.nodes)) for ch in c.nodes[v].children)
         by_id = Circuit(c.num_vars, c.nodes, c.root)
         by_id.topo_order = tuple(range(len(c.nodes)))
         assert by_id.topo_order != c.topo_order
@@ -484,7 +497,7 @@ def test_treeify_normalized_output():
 
 
 def test_treeify_hard_instance_deep_fanin():
-    # heavy fan-in products: binarize stretches depth to 68 before the
+    # heavy fan-in products: binarize stretches depth to 34 before the
     # reducer pulls it back under the logarithmic bound
     c = pt.build_hard_instance(3)
     tree, report = pt.treeify(c)
@@ -588,15 +601,15 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "6b349a142252917ff803cfb84ec01ed95b6ee80a72430feeb6d5e3e021963670"),
     "dag-32": ("6fdf8d22dc0a6a59028519882bf28d413c8e83198d850806fd15347a33284d77",
                "9dfe40e94c083b31c6b5879e1a9460e82c0c397cdc9cbe0123466aec2cb57d9c"),
-    "hard-3": ("301d843e324f7c1a8c7d3090cc331abf96d6dfb2fe4e503d9b6e85923f86634d",
-               "0c350ae938428aae10b5ec4b62cc67b165b3099d653f6193e3ceb820fb33c10e"),
-    "hard-4": ("9f8b82742a9102235c802b465b72276c22613c9989d1b1430174b183e2b93051",
-               "793df2c1f6097ded608e86ab082c681c9f6426f28152ac8e63f50d78766948e4"),
+    "hard-3": ("1a35b0eac83f8ede89e200391820896827de7eb8b5bd16cd05e1ddcc399b1896",
+               "414c4d00c9fa13db835c2cd00b3baa4725f94317e05430f212e707e8a645ed93"),
+    "hard-4": ("e85edc023ec8afa7f93da402a2667617b2f89a6149280ec8b66e5ff18669e5b8",
+               "837fda898d767612de43be444d2f617ca4902503fd1f7d0dc43c85b1f0f07b86"),
     "layered-8-4": ("d965019270af3001df0f0ac1c1eaf55e38282f1504392fa7a1d4953487e843d1",
                     "c7c5f98b781d810f81713eb4184f859f45702742462fa62d7f4f9df0138710c0"),
 }
 GOLDEN_SIZES = {  # input: (reduce_depth output's node count, its depth)
-    "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (547, 13), "hard-4": (2615, 17),
+    "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (505, 13), "hard-4": (2445, 17),
     "layered-8-4": (721, 7),
 }
 
