@@ -240,9 +240,6 @@ class Circuit:
                 deg[v] = sum(deg[ch] for ch in node.children)
         return tuple(deg)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     @cached_property
     def topo_positions(self) -> tuple[int, ...]:
         """Inverse of ``topo_order``: position of each node id in it."""

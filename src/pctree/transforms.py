@@ -18,8 +18,11 @@ expansion uses the frontier at threshold ``m = 2**i + deg(w)`` with
 ``t1`` the higher-degree child of ``t``.  Every factor on the right is a
 gate of an earlier band (or, for ``f(t2)``, a value gate of the same
 band), so each band adds two levels and the result has depth
-logarithmic in the root degree.  Constant-valued gates are never
-materialized: they fold into the edge weights of the sums that use them.
+logarithmic in the root degree.  A gate is a pair ``(node, scale)``;
+a constant ``(None, c)`` folds into the edge weights of the sums that use
+it.  A summand left with one node factor is that node, not a one-child
+product, and a gate whose one summand has weight 1.0 is that summand,
+not a one-child sum; multiplying by 1.0 is exact, so no weight changes.
 
 Only the gates the root's gate reaches are built, by one iterative
 post-order walk over gate keys from the root's value.  A key at degree
@@ -228,6 +231,13 @@ def degree_frontier(c: Circuit, m: int) -> FrontierSet:
 # depth reduction
 # ---------------------------------------------------------------------------
 
+#: A gate ``(node, scale)`` is ``scale`` times arena node ``node``'s
+#: polynomial, or the constant ``scale`` when ``node`` is None.  It is keyed
+#: ``(node, None)`` for a source node's value and ``(node, wrt)`` for the
+#: partial derivative of its polynomial by descendant ``wrt``.
+_Gate = tuple[int | None, float]
+
+
 class _Arena:
     """Append-only node table of the circuit under construction: each
     gate's leaf, sum or product node, built once after its children, so
@@ -247,22 +257,25 @@ class _Arena:
             self._leaves[key] = self.add(Leaf(var, negated))
         return self._leaves[key]
 
-    def product(self, children: list[int]) -> int:
-        return self.add(Product(children))
-
-    def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> int:
-        """Sum node of gate ``key``; the key names it if a weight is not finite."""
+    def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> _Gate:
+        """Gate ``key`` as the weighted sum of ``pairs``: the constant 0.0
+        when there are none, the one node itself when its weight is 1.0,
+        else a new sum node; the key names it if a weight is not finite."""
+        if not pairs:
+            return None, 0.0
+        if len(pairs) == 1 and pairs[0][1] == 1.0:
+            return pairs[0][0], 1.0
         weights = tuple(w for _, w in pairs)
         if not all(map(math.isfinite, weights)):
             raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
-        return self.add(Sum([p for p, _ in pairs], weights))
+        return self.add(Sum([p for p, _ in pairs], weights)), 1.0
 
-    def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> int | float:
-        """Realize gate ``key``'s polynomial of degree <= 1: constants
-        (including the zero polynomial) stay plain floats, linear forms
-        become a sum over the matching indicator leaves."""
+    def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> _Gate:
+        """Realize gate ``key``'s polynomial of degree <= 1: a constant
+        (including the zero polynomial) is the gate ``(None, c)``, a
+        linear form a :meth:`sum_` over the matching indicator leaves."""
         if p.is_constant():
-            return p.constant_value()
+            return None, p.constant_value()
         pairs = []
         for m, coeff in p.sorted_terms():
             if m.bit_count() != 1:
@@ -272,36 +285,14 @@ class _Arena:
         return self.sum_(key, pairs)
 
 
-#: A rebuilt gate is keyed ``(node, None)`` for the value of source node
-#: ``node`` and ``(node, wrt)`` for the partial derivative of its polynomial
-#: with respect to descendant ``wrt``.
-_GateTable = dict[tuple[int, int | None], int | float]
-
-
-def _resolve(gates: _GateTable,
-             keys: tuple[tuple[int, int | None], ...]) -> tuple[list[int], float] | None:
-    """Split gate references into node children and a folded constant
-    weight; None when any factor is the constant zero."""
-    weight = 1.0
-    kids: list[int] = []
-    for key in keys:
-        got = gates[key]
-        if isinstance(got, float):
-            if got == 0.0:
-                return None
-            weight *= got
-        else:
-            kids.append(got)
-    return kids, weight
-
-
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the gate walk).  A gate weight that overflows
-    raises :class:`NonFiniteValue` naming the gate, and a root
-    polynomial that underflows to zero raises :class:`ZeroWeightSum`
-    naming the root."""
+    band construction and the gate walk).  A summand whose weight, the
+    product of its constant factors, is 0.0 is dropped, also when nonzero
+    factors underflow to it.  A gate weight that overflows raises
+    :class:`NonFiniteValue` naming the gate, and a root polynomial that
+    underflows to zero raises :class:`ZeroWeightSum` naming the root."""
     _require_binary(circuit, "depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
     failed = [name for name in ("decomposable", "smooth", "homogeneous") if name in report.witnesses]
@@ -312,7 +303,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
 
     deg = circuit.degrees
     arena = _Arena()
-    gates: _GateTable = {}
+    gates: dict[tuple[int, int | None], _Gate] = {}
     polys = _Expander(circuit)
     adjoints = cache(polys.adjoints)
     pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
@@ -343,8 +334,9 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     # one post-order walk over the gate keys the root's gate reaches.  A
     # key at degree gap <= 1 is built when popped: an indicator leaf, or
     # an affine gate (gap zero folds to a constant, gap one is a sum over
-    # a single variable's indicators).  Any other key is planned on its
-    # first visit and built on its second, once every factor is built.
+    # a single variable's indicators, or its one indicator of weight 1.0).
+    # Any other key is planned on its first visit and built on its second,
+    # once every factor is built.
     # Only a key's own factors are stacked above its plan, so a second
     # copy of it lies below and is popped after it is built.
     stack: list = [((circuit.root, None), None)]
@@ -358,7 +350,7 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             if gap <= 1:
                 node = circuit.nodes[u]
                 if w is None and isinstance(node, Leaf):
-                    gates[key] = arena.leaf(node.var, node.negated)
+                    gates[key] = arena.leaf(node.var, node.negated), 1.0
                 else:
                     gates[key] = arena.affine_gate(key, polys.get(u) if w is None else polys.held(
                         f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]))
@@ -367,17 +359,20 @@ def reduce_depth(circuit: Circuit) -> Circuit:
             stack.append((key, summands))
             stack.extend((k, None) for keys in summands for k in keys if k not in gates)
             continue
-        products = []
+        pairs = []
         for keys in summands:
-            folded = _resolve(gates, keys)
-            if folded is None:
-                continue
-            kids, weight = folded
-            products.append((arena.product(kids), weight))
-        gates[key] = arena.sum_(key, products) if products else 0.0
+            scale, kids = 1.0, []
+            for k in keys:
+                child, factor = gates[k]
+                scale *= factor
+                if child is not None:
+                    kids.append(child)
+            if scale != 0.0:
+                pairs.append((kids[0] if len(kids) == 1 else arena.add(Product(kids)), scale))
+        gates[key] = arena.sum_(key, pairs)
 
-    root_gate = gates[circuit.root, None]
-    if isinstance(root_gate, float):
+    root_gate, _ = gates[circuit.root, None]
+    if root_gate is None:
         # the root has degree >= 1, so a constant gate is a polynomial
         # whose every coefficient underflowed to zero
         raise ZeroWeightSum(f"root {circuit.root}: every coefficient of its polynomial "

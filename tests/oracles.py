@@ -157,7 +157,7 @@ def grow_nonsmooth_child(c: Circuit, rng) -> Circuit:
     from pctree import build_circuit
 
     sums = [v for v, node in enumerate(c.nodes)
-            if isinstance(node, Sum) and c.degree(v) >= 2]
+            if isinstance(node, Sum) and c.degrees[v] >= 2]
     v = rng.choice(sums)
     var = min(c.scope(v))
     nodes = list(c.nodes)

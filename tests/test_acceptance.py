@@ -263,7 +263,7 @@ def test_criterion_8_smooth_iff_homogeneous(corpus50):
         report = c.validity()
         if not report.decomposable:
             violations.append((i, "corpus circuit not decomposable"))
-        if c.degree(c.root) != c.num_vars:
+        if c.degrees[c.root] != c.num_vars:
             violations.append((i, "corpus circuit degree"))
         if report.smooth != report.homogeneous:
             violations.append((i, "flag disagreement"))

@@ -22,7 +22,7 @@ def test_single_leaf_circuit():
     s = c.stats()
     assert (s.num_nodes, s.num_edges, s.depth, s.is_tree) == (1, 0, 0, True)
     assert c.scope(0) == frozenset({0})
-    assert c.degree(0) == 1
+    assert c.degrees[0] == 1
 
 
 def test_every_node_kind_has_children():
@@ -100,14 +100,14 @@ def test_scope_of_leaves_and_augmented_products():
     assert c.scope(0) == frozenset({3})
     hard = pt.build_hard_instance(1)
     first_product = next(v for v, node in enumerate(hard.nodes) if isinstance(node, Product)
-                         and hard.degree(v) == 4 and 0 in hard.scope(v))
+                         and hard.degrees[v] == 4 and 0 in hard.scope(v))
     assert hard.scope(first_product) == frozenset({0, 1, 2, 3})
 
 
 def test_scope_recursion_and_full_scope_roots(small_corpus):
     for c, _ in small_corpus:
         assert c.scope(c.root) == frozenset(range(c.num_vars))
-        assert c.degree(c.root) == c.num_vars
+        assert c.degrees[c.root] == c.num_vars
         for v, node in enumerate(c.nodes):
             if not isinstance(node, Leaf):
                 union = frozenset().union(*(c.scope(ch) for ch in node.children))
@@ -116,21 +116,21 @@ def test_scope_recursion_and_full_scope_roots(small_corpus):
 
 def test_structural_degree():
     two = build_circuit(2, [Leaf(0), Leaf(1), Product((0, 1))], 2)
-    assert two.degree(0) == 1
-    assert two.degree(2) == 2
+    assert two.degrees[0] == 1
+    assert two.degrees[2] == 2
     for k in (1, 2, 3):
         hard = pt.build_hard_instance(k)
-        assert hard.degree(hard.root) == 4 ** k
+        assert hard.degrees[hard.root] == 4 ** k
 
 
 def test_structural_degree_law(small_corpus):
     for c, _ in small_corpus:
         for v, node in enumerate(c.nodes):
             if isinstance(node, Product):
-                assert c.degree(v) == sum(c.degree(ch) for ch in node.children)
+                assert c.degrees[v] == sum(c.degrees[ch] for ch in node.children)
             elif isinstance(node, Sum):
-                degs = {c.degree(ch) for ch in node.children}
-                assert degs == {c.degree(v)}
+                degs = {c.degrees[ch] for ch in node.children}
+                assert degs == {c.degrees[v]}
 
 
 def test_evaluate_hard_instance_points():
@@ -275,5 +275,5 @@ def test_smooth_iff_homogeneous_at_full_degree(small_corpus):
         broken = grow_nonsmooth_child(c, rng)
         rep = broken.validity()
         assert rep.decomposable
-        assert broken.degree(broken.root) == broken.num_vars
+        assert broken.degrees[broken.root] == broken.num_vars
         assert rep.smooth == rep.homogeneous is False

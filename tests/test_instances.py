@@ -61,13 +61,13 @@ def test_hard_instance_layout():
     def kind(node):
         return "negation" if isinstance(node, Leaf) and node.negated else type(node).__name__
 
-    widths = Counter((kind(node), c.degree(v)) for v, node in enumerate(c.nodes))
+    widths = Counter((kind(node), c.degrees[v]) for v, node in enumerate(c.nodes))
     layers = [("Leaf", 1)] + [("Product" if layer % 2 else "Sum", 4 ** ((layer + 1) // 2))
                               for layer in range(1, 5)]
     assert [widths[cls] for cls in layers] == [16, 8, 4, 2, 1]
-    assert (kind(c.nodes[c.root]), c.degree(c.root)) == layers[4]
+    assert (kind(c.nodes[c.root]), c.degrees[c.root]) == layers[4]
     first = c.nodes[next(v for v, node in enumerate(c.nodes) if isinstance(node, Product)
-                         and c.degree(v) == 4 and 0 in c.scope(v))]
+                         and c.degrees[v] == 4 and 0 in c.scope(v))]
     assert {(c.nodes[ch].var, c.nodes[ch].negated) for ch in first.children} == \
         {(0, False), (1, False), (2, True), (3, True)}
 
@@ -154,7 +154,7 @@ def test_generator_reuse_produces_a_dag():
 
 def test_generator_determinism_and_root_degree(small_corpus):
     for c, _ in small_corpus:
-        assert c.degree(c.root) == c.num_vars
+        assert c.degrees[c.root] == c.num_vars
     params = pt.GenParams(n=6, seed=42, reuse_prob=0.4)
     a = pt.random_valid_pc(params)
     b = pt.random_valid_pc(params)

@@ -195,7 +195,7 @@ def test_derivative_degree_and_variable_set(small_corpus):
                 if d.is_zero():
                     continue
                 assert d.is_homogeneous()
-                assert d.degree == b.degree(v) - b.degree(w)
+                assert d.degree == b.degrees[v] - b.degrees[w]
                 assert d.variables() <= b.scope(v) - b.scope(w)
 
 
@@ -234,7 +234,7 @@ def test_frontier_members_match_the_scan_definition(small_corpus):
     circuits = [b for _, b in small_corpus]
     circuits += [pt.binarize(pt.build_hard_instance(k)) for k in (2, 3)]
     for b in circuits:
-        for m in range(1, b.degree(b.root) + 1):
+        for m in range(1, b.degrees[b.root] + 1):
             want = {t for t, _, _ in frontier_triples(b, m)}
             assert pt.degree_frontier(b, m).members == want, m
 
@@ -242,10 +242,10 @@ def test_frontier_members_match_the_scan_definition(small_corpus):
 def test_frontier_nonempty_below_banded_nodes(small_corpus):
     for _, b in small_corpus:
         desc = descendants(b)
-        for m in range(1, b.degree(b.root)):
+        for m in range(1, b.degrees[b.root]):
             members = pt.degree_frontier(b, m).members
             for v in range(len(b.nodes)):
-                if m < b.degree(v) <= 2 * m:
+                if m < b.degrees[v] <= 2 * m:
                     assert not members.isdisjoint(desc[v])
 
 
@@ -255,10 +255,10 @@ def test_value_expansion_identity(small_corpus):
     for _, b in small_corpus[:6]:
         polys = pt.node_polynomials(b)
         tables = {}
-        for m in range(1, b.degree(b.root)):
+        for m in range(1, b.degrees[b.root]):
             front = frontier_triples(b, m)
             for v in range(len(b.nodes)):
-                if not m < b.degree(v) <= 2 * m:
+                if not m < b.degrees[v] <= 2 * m:
                     continue
                 rhs = SparsePolynomial.zero(b.num_vars)
                 for t, _, _ in front:
@@ -308,12 +308,26 @@ def test_reduce_depth_single_band():
     assert out.stats().depth <= 3
 
 
+def _pass_throughs(c: Circuit) -> list[int]:
+    """The one-child products and one-child sums of weight 1.0 of ``c``."""
+    return [v for v, node in enumerate(c.nodes) if len(node.children) == 1
+            and (isinstance(node, Product) or node.weights == (1.0,))]
+
+
 def test_reduce_depth_preserves_polynomial_and_validity(small_corpus):
-    for c, b in small_corpus:
+    """The reduced circuit is valid, has the input's polynomial and no
+    pass-through node; hard-k reduces to depth 2k + 1."""
+    inputs = [b for _, b in small_corpus] + [pt.binarize(layered_dag(8, 4, seed=1))]
+    inputs += [pt.binarize(pt.build_hard_instance(k)) for k in (1, 2, 3)]
+    depths = []
+    for b in inputs:
         out = pt.reduce_depth(b)
         assert pt.poly_equal(pt.extract_polynomial(b), pt.extract_polynomial(out), 1e-9)
         report = out.validity()
         assert report.decomposable and report.smooth and report.homogeneous
+        assert _pass_throughs(out) == []
+        depths.append(out.stats().depth)
+    assert depths[-3:] == [3, 5, 7]
 
 
 def test_reduce_depth_is_logarithmic(small_corpus):
@@ -586,6 +600,7 @@ def test_pipeline_handles_zero_weights_wires_and_repeated_children():
         reduced = pt.reduce_depth(pt.binarize(zeroed))
         assert pt.poly_equal(pt.extract_polynomial(zeroed), pt.extract_polynomial(reduced))
         assert all(0.0 not in node.weights for node in reduced.nodes if isinstance(node, Sum))
+        assert _pass_throughs(reduced) == []
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
@@ -601,15 +616,15 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "6b349a142252917ff803cfb84ec01ed95b6ee80a72430feeb6d5e3e021963670"),
     "dag-32": ("6fdf8d22dc0a6a59028519882bf28d413c8e83198d850806fd15347a33284d77",
                "9dfe40e94c083b31c6b5879e1a9460e82c0c397cdc9cbe0123466aec2cb57d9c"),
-    "hard-3": ("1a35b0eac83f8ede89e200391820896827de7eb8b5bd16cd05e1ddcc399b1896",
-               "414c4d00c9fa13db835c2cd00b3baa4725f94317e05430f212e707e8a645ed93"),
-    "hard-4": ("e85edc023ec8afa7f93da402a2667617b2f89a6149280ec8b66e5ff18669e5b8",
-               "837fda898d767612de43be444d2f617ca4902503fd1f7d0dc43c85b1f0f07b86"),
+    "hard-3": ("d7239ee6251e5b596038f59d351d5aeff727e571f65a1b00fbf48aabe7faa87f",
+               "2d133ac618124208a049ec1986fca927d98aabd9a659f925d6ffc214e39af099"),
+    "hard-4": ("0ce4d9047451ae086b461d783b41328a4ed31f024e666bd45f7a1072a377c2d1",
+               "00055fb87dbfb2fc518107d695cdef90cb82dde96c783dc5cb6f705ab0389af9"),
     "layered-8-4": ("d965019270af3001df0f0ac1c1eaf55e38282f1504392fa7a1d4953487e843d1",
                     "c7c5f98b781d810f81713eb4184f859f45702742462fa62d7f4f9df0138710c0"),
 }
 GOLDEN_SIZES = {  # input: (reduce_depth output's node count, its depth)
-    "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (505, 13), "hard-4": (2445, 17),
+    "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (303, 7), "hard-4": (1379, 9),
     "layered-8-4": (721, 7),
 }
 
