@@ -13,10 +13,12 @@ at arbitrary reals supports identity testing.
 Circuits are immutable once constructed.  Every analysis here is a pure
 pass over the stored topological order; the per-node tables (scopes,
 degrees, descendant and ancestor masks) and the plan that
-:meth:`Circuit.evaluate` runs, one step per distinct subcircuit, are
-built on first use and cached on the instance, while :meth:`validity`
-and :meth:`stats` recompute on every call.  Transforms elsewhere in the
-package always build fresh circuits, so instances are safe to share.
+:meth:`Circuit.evaluate` runs are built on first use and cached on the
+instance, while :meth:`validity` and :meth:`stats` recompute on every
+call.  The plan has one step per distinct subcircuit, grouped into runs
+of one height and one shape, and evaluation is one loop per run.
+Transforms elsewhere in the package always build fresh circuits, so
+instances are safe to share.
 """
 
 from __future__ import annotations
@@ -78,9 +80,9 @@ class Product:
 
 Node = Union[Leaf, Sum, Product]
 
-# evaluation plan step shapes: sums of one, two and more children,
-# products of two children and of any other number
-_SUM1, _SUM2, _SUMN, _PROD2, _PRODN = range(5)
+# evaluation plan run shapes: products and sums of two and of three
+# children, and of any other number (one-child sums join the n-ary sums)
+_PROD2, _PROD3, _PRODN, _SUM2, _SUM3, _SUMN = range(6)
 
 
 def _bits(mask: int) -> list[int]:
@@ -275,66 +277,95 @@ class Circuit:
     # -- evaluation -----------------------------------------------------------
 
     @cached_property
-    def _evaluation_plan(self) -> tuple[int, list[tuple]]:
-        """The program :meth:`evaluate` runs: the root's position and the
-        steps.  Positions ``0..2n-1`` hold the slot values (a leaf's
-        position is its slot) and step ``i`` writes ``2n + i``.  One pass
-        over ``topo_order`` keys each internal node by shape, operand
-        positions and weights; a key already planned reuses its step, so
-        each distinct subcircuit (a tree's copies of a shared node) runs once."""
+    def _evaluation_plan(self) -> tuple[int, int, list[tuple[int, list[tuple]]]]:
+        """The program :meth:`evaluate` runs: the root's position, the step
+        count and the steps as runs of one shape.  Positions ``0..2n-1``
+        hold the slot values (a leaf's position is its slot) and step ``i``
+        writes ``2n + i``.  One pass over ``topo_order`` keys each internal
+        node by shape, operand positions and weights; a key already planned
+        reuses its step, so each distinct subcircuit (a tree's copies of a
+        shared node) runs once.  A new step is one higher than its highest
+        operand (slots have height 0) and joins the run of its height and
+        shape; runs go by height, so no step reads one of its own run."""
         width = 2 * self.num_vars
-        pos = [0] * len(self.nodes)
-        planned: dict[tuple, int] = {}  # step -> its position
+        nodes = self.nodes
+        pos = [0] * len(nodes)
+        height = [0] * width  # per position
+        # key -> its step's position; 0.0 and -0.0 weights key alike, and as
+        # sums start at +0.0 both add the same
+        planned: dict[tuple, int] = {}
+        runs: list[tuple[list[tuple], ...]] = []  # runs[h - 1][shape]: the steps of height h
         for v in self.topo_order:
-            node = self.nodes[v]
+            node = nodes[v]
             kids = node.children
-            if not kids:  # a leaf
-                pos[v] = slot(node.var, node.negated)
+            if not kids:  # a leaf; slot() inlined, as leaves are half a tree's nodes
+                pos[v] = 2 * node.var + node.negated
                 continue
             if len(kids) == 2:  # most nodes; unpacked, not listed, for speed
                 a, b = kids
-                step = ((_PROD2, pos[a], pos[b], 0.0, 0.0) if isinstance(node, Product)
-                        else (_SUM2, pos[a], pos[b]) + node.weights)
-            elif isinstance(node, Product):
-                step = (_PRODN, tuple([pos[ch] for ch in kids]), 0, 0.0, 0.0)
-            elif len(kids) == 1:
-                step = (_SUM1, pos[kids[0]], 0, node.weights[0], 0.0)
+                a, b = pos[a], pos[b]
+                key = (_PROD2, a, b) if isinstance(node, Product) else (_SUM2, a, b) + node.weights
+            elif len(kids) == 3:
+                a, b, c = kids
+                ops = (pos[a], pos[b], pos[c])
+                key = (_PROD3,) + ops if isinstance(node, Product) else (_SUM3,) + ops + node.weights
             else:
-                step = (_SUMN, tuple(zip([pos[ch] for ch in kids], node.weights)), 0, 0.0, 0.0)
-            # 0.0 and -0.0 weights key alike; sums start at +0.0, so both add the same
-            pos[v] = planned.setdefault(step, width + len(planned))
-        return pos[self.root], list(planned)
+                ops = tuple([pos[ch] for ch in kids])
+                key = (_PRODN, ops) if isinstance(node, Product) else (_SUMN, ops, node.weights)
+            new = len(height)
+            p = pos[v] = planned.setdefault(key, new)
+            if p == new:
+                if len(kids) == 2:
+                    h = height[a] if height[a] > height[b] else height[b]
+                else:
+                    h = max([height[o] for o in ops])
+                height.append(h + 1)
+                if h == len(runs):
+                    runs.append(([], [], [], [], [], []))
+                runs[h][key[0]].append((p,) + key[1:])
+        return (pos[self.root], len(planned),
+                [(shape, run) for by_shape in runs for shape, run in enumerate(by_shape) if run])
 
     def evaluate(self, assignment: Sequence[float]) -> float:
         """Bottom-up evaluation; ``assignment[2*i]`` feeds ``x_i`` and
         ``assignment[2*i + 1]`` feeds ``~x_i``, each through ``float()``
         (a non-number raises even in a slot no leaf reads).
 
-        Runs the cached evaluation plan.  Every value equals, bit for bit,
-        what a per-node loop gives with ``sum()`` over each sum's weighted
-        children and a running product over each product's children."""
+        Runs the cached evaluation plan, one loop per run.  Every value
+        equals, bit for bit, what a per-node loop gives with ``sum()`` over
+        each sum's weighted children and a running product over each
+        product's children."""
         if len(assignment) != 2 * self.num_vars:
             raise AssignmentLengthMismatch(
                 f"expected {2 * self.num_vars} slot values, got {len(assignment)}")
-        root, steps = self._evaluation_plan
+        root, n_steps, runs = self._evaluation_plan
         vals = list(map(float, assignment))
-        push = vals.append
-        for op, a, b, wa, wb in steps:
-            # ``0.0 +`` as in sum(), which starts at 0: -0.0 terms total +0.0
-            if op == _SUM2:
-                push(0.0 + wa * vals[a] + wb * vals[b])
-            elif op == _PROD2:
-                push(vals[a] * vals[b])
-            elif op == _SUM1:
-                push(0.0 + wa * vals[a])
-            elif op == _SUMN:
+        vals += [0.0] * n_steps
+        for shape, run in runs:
+            if shape == _PROD2:
+                for o, a, b in run:
+                    vals[o] = vals[a] * vals[b]
+            elif shape == _SUM2:
+                # ``0.0 +`` as in sum(), which starts at 0: -0.0 terms total +0.0
+                for o, a, b, wa, wb in run:
+                    vals[o] = 0.0 + wa * vals[a] + wb * vals[b]
+            elif shape == _PROD3:
+                # equals the running product: 1.0 * x is x
+                for o, a, b, c in run:
+                    vals[o] = vals[a] * vals[b] * vals[c]
+            elif shape == _SUM3:
                 # sum() rounds 3+ terms differently from a left fold on 3.12+
-                push(sum([w * vals[ch] for ch, w in a]))
+                for o, a, b, c, wa, wb, wc in run:
+                    vals[o] = sum((wa * vals[a], wb * vals[b], wc * vals[c]))
+            elif shape == _SUMN:
+                for o, kids, weights in run:
+                    vals[o] = sum([w * vals[ch] for ch, w in zip(kids, weights)])
             else:
-                acc = 1.0
-                for ch in a:
-                    acc *= vals[ch]
-                push(acc)
+                for o, kids in run:
+                    acc = 1.0
+                    for ch in kids:
+                        acc *= vals[ch]
+                    vals[o] = acc
         return vals[root]
 
     # -- analyses -------------------------------------------------------------

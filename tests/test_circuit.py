@@ -176,7 +176,14 @@ def test_evaluate_matches_float_loop_exactly():
     twins = [Leaf(0), Leaf(1), Leaf(2), Sum((0, 1), (0.0, 0.5)), Sum((0, 1), (-0.0, 0.5)),
              Sum((0, 1, 2), (0.25, -0.0, 0.5)), Sum((0, 1, 2), (0.25, 0.0, 0.5))]
     circuits.append(build_circuit(3, twins + [Product((3, 4, 5, 6))], 7))
-    assert len(circuits[-1]._evaluation_plan[1]) == 3
+    assert circuits[-1]._evaluation_plan[1] == 3
+    # n-ary sums: twins of four children that differ in the sign of a zero
+    # weight, and one of five children
+    wide = [Leaf(0), Leaf(1, True), Leaf(2), Leaf(3, True), Leaf(4),
+            Sum((0, 1, 2, 3), (0.25, -0.0, 0.5, 0.125)), Sum((0, 1, 2, 3), (0.25, 0.0, 0.5, 0.125)),
+            Sum((0, 1, 2, 3, 4), (0.5, 0.25, 0.125, 0.0625, 0.0625))]
+    circuits.append(build_circuit(5, wide + [Product((5, 6, 7))], 8))
+    assert circuits[-1]._evaluation_plan[1] == 3
     # one leaf reading slot 2 of 6: the root is not the last value
     circuits.append(build_circuit(3, [Leaf(1)], 0))
     # every copy duplicate_to_tree makes of a node keys to the same step
@@ -186,17 +193,19 @@ def test_evaluate_matches_float_loop_exactly():
     circuits.append(pt.duplicate_to_tree(reduced))
     assert len(circuits[-1].nodes) > 2 * len(reduced.nodes)
     internal = sum(not isinstance(node, Leaf) for node in reduced.nodes)
-    assert len(circuits[-1]._evaluation_plan[1]) <= internal
+    assert circuits[-1]._evaluation_plan[1] <= internal
 
     shapes = set()
     for c in circuits:
         for node in c.nodes:
             if not isinstance(node, Leaf):
-                shapes.add((type(node).__name__, min(len(node.children), 3)))
-    assert shapes >= {("Sum", 1), ("Sum", 2), ("Sum", 3), ("Product", 2), ("Product", 3)}
+                shapes.add((type(node).__name__, min(len(node.children), 4)))
+    assert shapes >= {("Sum", 1), ("Sum", 2), ("Sum", 3), ("Sum", 4),
+                      ("Product", 2), ("Product", 3), ("Product", 4)}
     assert circuits[11].stats().max_fanout == 130  # hard k=4
 
     rng = random.Random(11)
+    by_id_count = 0
     for c in circuits:
         width = 2 * c.num_vars
         points = [[rng.uniform(-2.0, 2.0) for _ in range(width)] for _ in range(2)]
@@ -208,6 +217,15 @@ def test_evaluate_matches_float_loop_exactly():
             assert got == want and repr(got) == repr(want)
         negative = [-rng.uniform(0.5, 2.0) for _ in range(width)]
         assert repr(c.evaluate(negative)) == repr(float_evaluate(c, negative))
+        points.append(negative)
+        # the plan does not depend on topo_order: id order plans the same steps
+        if all(ch < v for v, node in enumerate(c.nodes) for ch in node.children):
+            by_id = Circuit(c.num_vars, c.nodes, c.root)
+            by_id.topo_order = tuple(range(len(c.nodes)))
+            by_id_count += 1
+            assert by_id._evaluation_plan[1] == c._evaluation_plan[1]
+            assert [repr(by_id.evaluate(a)) for a in points] == [repr(c.evaluate(a)) for a in points]
+    assert by_id_count == len(circuits) - 3  # all but the hard inputs, which list parents first
 
 
 def test_marginal_slots_sum_out_a_variable(small_corpus):
