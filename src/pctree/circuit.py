@@ -24,7 +24,6 @@ instances are safe to share.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence, Union
@@ -168,26 +167,23 @@ class Circuit:
                     raise CycleDetected(f"node {v} lists itself as a child")
                 indegree[ch] += 1
 
-        parentless = [v for v in range(n) if indegree[v] == 0]
-        if len(parentless) > 1:
-            raise MultipleRoots(f"parentless nodes {parentless}, expected only {root}")
-        if not parentless:
-            raise CycleDetected("every node has a parent")
-        if parentless[0] != root:
+        if indegree[root] or indegree.count(0) != 1:
+            parentless = [v for v, d in enumerate(indegree) if not d]
+            if len(parentless) > 1:
+                raise MultipleRoots(f"parentless nodes {parentless}, expected only {root}")
+            if not parentless:
+                raise CycleDetected("every node has a parent")
             raise MultipleRoots(f"designated root {root} has a parent; parentless node is {parentless[0]}")
 
         # peel from the root: a node is emitted once every parent has been
-        # emitted, so reversing the order puts children before parents
-        remaining = indegree[:]
-        queue = deque([root])
-        order: list[int] = []
-        while queue:
-            v = queue.popleft()
-            order.append(v)
+        # emitted, so reversing the order puts children before parents.
+        # ``order`` grows while it is read, first in, first out.
+        order = [root]
+        for v in order:
             for ch in nodes[v].children:
-                remaining[ch] -= 1
-                if remaining[ch] == 0:
-                    queue.append(ch)
+                indegree[ch] -= 1
+                if not indegree[ch]:
+                    order.append(ch)
         if len(order) != n:
             raise CycleDetected("child relation has a directed cycle")
         order.reverse()
@@ -210,16 +206,21 @@ class Circuit:
 
     @cached_property
     def _scope_masks(self) -> tuple[int, ...]:
-        masks = [0] * len(self.nodes)
+        nodes = self.nodes
+        masks = [0] * len(nodes)
         for v in self.topo_order:
-            node = self.nodes[v]
-            if isinstance(node, Leaf):
-                masks[v] = 1 << node.var
-            else:
+            node = nodes[v]
+            kids = node.children
+            if len(kids) == 2:
+                a, b = kids
+                masks[v] = masks[a] | masks[b]
+            elif kids:
                 m = 0
-                for ch in node.children:
+                for ch in kids:
                     m |= masks[ch]
                 masks[v] = m
+            else:
+                masks[v] = 1 << node.var
         return tuple(masks)
 
     def scope(self, v: int) -> frozenset[int]:
@@ -231,15 +232,18 @@ class Circuit:
         """Structural degree per node: 1 at leaves, sum over product
         children, max over sum children.  Equals the polynomial degree on
         homogeneous circuits and is an upper bound otherwise."""
-        deg = [0] * len(self.nodes)
+        nodes = self.nodes
+        deg = [1] * len(nodes)  # leaves keep theirs
         for v in self.topo_order:
-            node = self.nodes[v]
-            if isinstance(node, Leaf):
-                deg[v] = 1
-            elif isinstance(node, Sum):
-                deg[v] = max(deg[ch] for ch in node.children)
-            else:
-                deg[v] = sum(deg[ch] for ch in node.children)
+            node = nodes[v]
+            kids = node.children
+            if len(kids) == 2:
+                a, b = kids
+                a, b = deg[a], deg[b]
+                deg[v] = (a if a > b else b) if isinstance(node, Sum) else a + b
+            elif kids:
+                ds = [deg[ch] for ch in kids]
+                deg[v] = max(ds) if isinstance(node, Sum) else sum(ds)
         return tuple(deg)
 
     @cached_property
@@ -387,48 +391,65 @@ class Circuit:
                 flags[flag] = False
                 witnesses[flag] = (v, why)
 
-        scope = self._scope_masks
-        deg = self.degrees
+        nodes, scope, deg = self.nodes, self._scope_masks, self.degrees
+        nonnegative = (0.0).__le__  # False on NaN
         for v in self.topo_order:
-            node = self.nodes[v]
+            node = nodes[v]
+            kids = node.children
+            if not kids:
+                continue
             if isinstance(node, Sum):
-                total = sum(node.weights)
-                if any(not (w >= 0) for w in node.weights):
+                weights = node.weights
+                if not all(map(nonnegative, weights)):
                     fail("monotone", v, "negative or NaN edge weight")
+                total = sum(weights)
                 if not math.isclose(total, 1.0, rel_tol=REL_TOL):
                     fail("normalized", v, f"outgoing weights total {total!r}")
-                first = node.children[0]
-                if any(scope[ch] != scope[first] for ch in node.children[1:]):
+                if len(kids) == 2:
+                    a, b = kids
+                    smooth, homogeneous = scope[a] == scope[b], deg[a] == deg[b]
+                else:
+                    smooth = len({scope[ch] for ch in kids}) == 1
+                    homogeneous = len({deg[ch] for ch in kids}) == 1
+                if not smooth:
                     fail("smooth", v, "children with different scopes")
-                if any(deg[ch] != deg[first] for ch in node.children[1:]):
+                if not homogeneous:
                     fail("homogeneous", v, "children with different structural degrees")
-            elif isinstance(node, Product):
-                union = 0
-                total_bits = 0
-                for ch in node.children:
-                    union |= scope[ch]
-                    total_bits += scope[ch].bit_count()
-                if union.bit_count() != total_bits:
+            elif len(kids) == 2:
+                a, b = kids
+                if scope[a] & scope[b]:
                     fail("decomposable", v, "children with overlapping scopes")
+            else:
+                union = 0
+                for ch in kids:
+                    if union & scope[ch]:
+                        fail("decomposable", v, "children with overlapping scopes")
+                    union |= scope[ch]
         return ValidityReport(witnesses=witnesses, **flags)
 
-    def stats(self) -> Stats:
-        edges = 0
-        max_fanout = 0
-        depth = [0] * len(self.nodes)
+    def _shape(self) -> tuple[int, int, int]:
+        """Edge count, root depth and largest fan-out, by one pass over
+        ``topo_order``; :meth:`stats` and ``stage_metrics`` share it."""
+        kids_of = [node.children for node in self.nodes]
+        depth = [0] * len(kids_of)  # leaves keep theirs
         for v in self.topo_order:
-            kids = self.nodes[v].children
-            if kids:
-                edges += len(kids)
-                max_fanout = max(max_fanout, len(kids))
-                depth[v] = 1 + max(depth[ch] for ch in kids)
-        is_tree = edges == len(self.nodes) - 1  # every non-root node has a parent
+            kids = kids_of[v]
+            if len(kids) == 2:
+                a, b = kids
+                a, b = depth[a], depth[b]
+                depth[v] = 1 + (a if a > b else b)
+            elif kids:
+                depth[v] = 1 + max([depth[ch] for ch in kids])
+        return sum(map(len, kids_of)), depth[self.root], max(map(len, kids_of))
+
+    def stats(self) -> Stats:
+        edges, depth, max_fanout = self._shape()
         return Stats(
             num_nodes=len(self.nodes),
             num_edges=edges,
-            depth=depth[self.root],
+            depth=depth,
             max_fanout=max_fanout,
-            is_tree=is_tree,
+            is_tree=edges == len(self.nodes) - 1,  # every non-root node has a parent
             degree_of_root=self.degrees[self.root],
         )
 

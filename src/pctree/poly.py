@@ -161,9 +161,6 @@ class SparsePolynomial:
                 raise TermBudgetExceeded(f"product exceeds {max_terms} monomials")
         return SparsePolynomial._of(self.num_vars, out)
 
-    __add__ = add
-    __mul__ = mul
-
     # -- queries --------------------------------------------------------------
 
     def evaluate(self, assignment: Sequence[float]) -> float:

@@ -101,7 +101,10 @@ def circuit_from_document(doc: Any) -> Circuit:
             if (not isinstance(weights, list)
                     or any(not isinstance(w, (int, float)) or isinstance(w, bool) for w in weights)):
                 raise SchemaError(f"sum {nid}: 'weights' must be a list of numbers")
-            table[nid] = Sum(tuple(children), tuple(float(w) for w in weights))
+            try:  # Sum converts every weight with float()
+                table[nid] = Sum(tuple(children), weights)
+            except OverflowError:  # an integer beyond the float range
+                raise SchemaError(f"sum {nid}: a weight is too large for a float") from None
         else:
             table[nid] = Product(tuple(children))
     if set(table) != set(range(len(records))):
@@ -119,7 +122,9 @@ def read_circuit(path: str | os.PathLike) -> Circuit:
         text = fh.read()
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # the latter: nested too deep
+    # a JSONDecodeError is a ValueError, as is a number past the int digit
+    # limit; a RecursionError means nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return circuit_from_document(doc)
 

@@ -104,8 +104,8 @@ class PipelineReport:
 
 
 def stage_metrics(stage: str, c: Circuit) -> StageMetrics:
-    s = c.stats()
-    return StageMetrics(stage, s.num_nodes, s.num_edges, s.depth)
+    edges, depth, _ = c._shape()
+    return StageMetrics(stage, len(c.nodes), edges, depth)
 
 
 def _require_binary(c: Circuit, message: str) -> None:
@@ -415,8 +415,13 @@ def duplicate_to_tree(c: Circuit) -> Circuit:
     """
     nodes = c.nodes
     size = [1] * len(nodes)
-    for v in c.topo_order:  # children before parents
-        size[v] = 1 + sum([size[ch] for ch in nodes[v].children])
+    for v in c.topo_order:  # children before parents; leaves keep size 1
+        kids = nodes[v].children
+        if len(kids) == 2:
+            a, b = kids
+            size[v] = 1 + size[a] + size[b]
+        elif kids:
+            size[v] = 1 + sum([size[ch] for ch in kids])
     total = size[c.root]
     if total > DEFAULT_TREE_BUDGET:
         raise SizeBudgetExceeded(f"expanded tree would have {total} nodes (budget {DEFAULT_TREE_BUDGET})")

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
+from collections import deque
 from fractions import Fraction
 
 from pctree import SparsePolynomial
-from pctree.circuit import Circuit, Leaf, Product, Sum, slot
+from pctree.circuit import REL_TOL, Circuit, Leaf, Product, Stats, Sum, ValidityReport, slot
+from pctree.errors import BadWeights, CycleDetected, DanglingChild, EmptyProductNode, MultipleRoots
 
 
 def float_evaluate(c: Circuit, assignment: list[float]) -> float:
@@ -234,3 +237,122 @@ def table_hash(c: Circuit) -> str:
             rows.append(("P", node.children))
     text = json.dumps([c.num_vars, c.root, rows], separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+# -- whole-circuit analyses by the plain per-node loops ----------------------
+
+def reference_topo_order(num_vars: int, nodes: list, root: int) -> tuple[int, ...]:
+    """``Circuit``'s checks, raising the same errors, and its order: the
+    peel from the root through a ``deque``, a node queued once all of its
+    parents are out, reversed."""
+    n = len(nodes)
+    if not 0 <= root < n:
+        raise DanglingChild(f"root id {root} outside table of {n} nodes")
+    indegree = [0] * n
+    for v, node in enumerate(nodes):
+        if isinstance(node, Leaf):
+            if not 0 <= node.var < num_vars:
+                raise DanglingChild(f"leaf {v}: variable {node.var} out of range")
+            continue
+        if isinstance(node, Sum):
+            if len(node.children) != len(node.weights):
+                raise BadWeights(f"sum {v}: {len(node.children)} children vs {len(node.weights)} weights")
+            if not node.children:
+                raise BadWeights(f"sum {v} has no children")
+        elif not node.children:
+            raise EmptyProductNode(f"product {v} has no children")
+        for ch in node.children:
+            if not 0 <= ch < n:
+                raise DanglingChild(f"node {v}: child {ch} out of range")
+            if ch == v:
+                raise CycleDetected(f"node {v} lists itself as a child")
+            indegree[ch] += 1
+    parentless = [v for v in range(n) if indegree[v] == 0]
+    if len(parentless) > 1:
+        raise MultipleRoots(f"parentless nodes {parentless}, expected only {root}")
+    if not parentless:
+        raise CycleDetected("every node has a parent")
+    if parentless[0] != root:
+        raise MultipleRoots(f"designated root {root} has a parent; parentless node is {parentless[0]}")
+    remaining = indegree[:]
+    queue = deque([root])
+    order: list[int] = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for ch in nodes[v].children:
+            remaining[ch] -= 1
+            if remaining[ch] == 0:
+                queue.append(ch)
+    if len(order) != n:
+        raise CycleDetected("child relation has a directed cycle")
+    return tuple(reversed(order))
+
+
+def reference_scopes_and_degrees(c: Circuit) -> tuple[list[int], list[int]]:
+    """Per node, the bitmask of its scope's variables and its structural
+    degree (1 at a leaf, the max over a sum's children, the sum over a
+    product's)."""
+    scope, deg = [0] * len(c.nodes), [0] * len(c.nodes)
+    for v in c.topo_order:
+        node = c.nodes[v]
+        if isinstance(node, Leaf):
+            scope[v], deg[v] = 1 << node.var, 1
+        else:
+            for ch in node.children:
+                scope[v] |= scope[ch]
+            child_degrees = (deg[ch] for ch in node.children)
+            deg[v] = max(child_degrees) if isinstance(node, Sum) else sum(child_degrees)
+    return scope, deg
+
+
+def reference_validity(c: Circuit) -> ValidityReport:
+    """The five flags, each with the first violating node in
+    ``topo_order`` as its witness."""
+    flags = dict.fromkeys(("decomposable", "smooth", "homogeneous", "normalized", "monotone"), True)
+    witnesses: dict[str, tuple[int, str]] = {}
+
+    def fail(flag: str, v: int, why: str) -> None:
+        if flags[flag]:
+            flags[flag] = False
+            witnesses[flag] = (v, why)
+
+    scope, deg = reference_scopes_and_degrees(c)
+    for v in c.topo_order:
+        node = c.nodes[v]
+        if isinstance(node, Sum):
+            total = sum(node.weights)
+            if any(not (w >= 0) for w in node.weights):
+                fail("monotone", v, "negative or NaN edge weight")
+            if not math.isclose(total, 1.0, rel_tol=REL_TOL):
+                fail("normalized", v, f"outgoing weights total {total!r}")
+            first = node.children[0]
+            if any(scope[ch] != scope[first] for ch in node.children[1:]):
+                fail("smooth", v, "children with different scopes")
+            if any(deg[ch] != deg[first] for ch in node.children[1:]):
+                fail("homogeneous", v, "children with different structural degrees")
+        elif isinstance(node, Product):
+            union = 0
+            total_bits = 0
+            for ch in node.children:
+                union |= scope[ch]
+                total_bits += scope[ch].bit_count()
+            if union.bit_count() != total_bits:
+                fail("decomposable", v, "children with overlapping scopes")
+    return ValidityReport(witnesses=witnesses, **flags)
+
+
+def reference_stats(c: Circuit) -> Stats:
+    edges = 0
+    max_fanout = 0
+    depth = [0] * len(c.nodes)
+    for v in c.topo_order:
+        kids = c.nodes[v].children
+        if kids:
+            edges += len(kids)
+            max_fanout = max(max_fanout, len(kids))
+            depth[v] = 1 + max(depth[ch] for ch in kids)
+    _, deg = reference_scopes_and_degrees(c)
+    return Stats(num_nodes=len(c.nodes), num_edges=edges, depth=depth[c.root],
+                 max_fanout=max_fanout, is_tree=edges == len(c.nodes) - 1,
+                 degree_of_root=deg[c.root])

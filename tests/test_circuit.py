@@ -295,3 +295,89 @@ def test_smooth_iff_homogeneous_at_full_degree(small_corpus):
         assert rep.decomposable
         assert broken.degrees[broken.root] == broken.num_vars
         assert rep.smooth == rep.homogeneous is False
+
+
+def _flag_breakers() -> list[Circuit]:
+    """Circuits that break every validity flag, most at several nodes,
+    through sums and products of two and of three children."""
+    nan = float("nan")
+    leaves = [Leaf(0), Leaf(1), Leaf(2), Leaf(0, True)]
+    many = Circuit(3, leaves + [
+        Product((0, 1, 2)),                     # 4: fine
+        Product((0, 1, 3)),                     # 5: x0 twice
+        Product((1, 3)),                        # 6: fine
+        Product((3, 0)),                        # 7: x0 twice
+        Sum((4, 5, 7), (0.5, 0.25, -0.25)),     # 8: every sum flag fails
+        Sum((6, 7), (nan, 1.0)),                # 9: NaN weight, scopes differ
+        Sum((1, 2), (0.5, 0.5)),                # 10: scopes differ, degrees agree
+        Product((0, 0)),                        # 11: x0 twice
+        Sum((0, 11), (0.5, 0.5)),               # 12: smooth, degrees differ
+        Sum((8, 9, 10, 12), (1.0, 1.0, 1.0, 1.0)),
+    ], 13)
+    # the same nodes listed in another order, so other ids come first
+    perm = list(range(len(many.nodes)))
+    random.Random(5).shuffle(perm)
+    new_id = {old: new for new, old in enumerate(perm)}
+    table = [None] * len(perm)
+    for old, node in enumerate(many.nodes):
+        if not isinstance(node, Leaf):
+            kids = tuple(new_id[ch] for ch in node.children)
+            node = Sum(kids, node.weights) if isinstance(node, Sum) else Product(kids)
+        table[new_id[old]] = node
+    shuffled = Circuit(3, table, new_id[many.root])
+    wide = Circuit(2, [Leaf(0), Leaf(1), Leaf(0, True), Leaf(1, True),
+                       Product((0, 1, 2, 3)), Sum((0, 2, 1), (0.2, 0.3, 0.5)),
+                       Product((4, 5)), Sum((6, 6, 4), (2.0, 0.0, -0.0))], 7)
+    return [many, shuffled, wide]
+
+
+def test_analyses_match_reference_loops():
+    from oracles import (layered_dag, reference_scopes_and_degrees, reference_stats,
+                         reference_topo_order, reference_validity)
+    from pctree.transforms import StageMetrics, stage_metrics
+
+    inputs = [pt.random_valid_pc(pt.GenParams(n=n, seed=seed, reuse_prob=reuse))
+              for n in (4, 9, 16) for seed in (1, 2) for reuse in (0.0, 0.5, 0.9)]
+    inputs += [pt.build_hard_instance(k) for k in (1, 2, 3, 4)] + [layered_dag(6, 4, 1)]
+    inputs += [pt.treeify(c)[0] for c in inputs]
+    inputs += _flag_breakers()
+    failed = set()
+    for c in inputs:
+        assert c.topo_order == reference_topo_order(c.num_vars, c.nodes, c.root)
+        report = c.validity()
+        assert report == reference_validity(c)  # flags, witness nodes and texts
+        failed.update(report.witnesses)
+        s = c.stats()
+        assert s == reference_stats(c)
+        assert stage_metrics("x", c) == StageMetrics("x", s.num_nodes, s.num_edges, s.depth)
+        scope, deg = reference_scopes_and_degrees(c)
+        assert list(c._scope_masks) == scope and list(c.degrees) == deg
+    assert failed == {"decomposable", "smooth", "homogeneous", "normalized", "monotone"}
+
+
+def test_construction_errors_match_reference():
+    from oracles import reference_topo_order
+
+    one = (1.0,)
+    tables = [
+        (1, [Leaf(0)], 1),                                          # root out of range
+        (2, [Leaf(2)], 0),                                          # variable out of range
+        (1, [Leaf(0), Sum((0,), (1.0, 2.0))], 1),                   # weight arity
+        (1, [Leaf(0), Sum((), ()), Sum((0, 1), (1.0, 1.0))], 2),    # childless sum
+        (1, [Leaf(0), Product(()), Product((0, 1))], 2),            # childless product
+        (1, [Leaf(0), Sum((0, 2), (1.0, 1.0))], 1),                 # child past the end
+        (1, [Leaf(0), Product((0, -1))], 1),                        # negative child
+        (1, [Leaf(0), Leaf(0), Product((-1, 0, 1))], 2),            # ... among three
+        (1, [Leaf(0), Sum((0, 1), (1.0, 1.0)), Sum((1,), one)], 2),  # two-child self-loop
+        (1, [Leaf(0), Leaf(0), Sum((0, 1, 2), (1.0,) * 3)], 2),     # self-loop at the root
+        (1, [Leaf(0), Leaf(0)], 0),                                 # two parentless nodes
+        (1, [Leaf(0), Sum((0,), one)], 0),                          # the root has a parent
+        (1, [Leaf(0), Sum((0, 2), (1.0, 1.0)), Sum((1,), one)], 2),  # every node has a parent
+        (1, [Leaf(0), Sum((0, 2), (1.0, 1.0)), Sum((1,), one), Sum((1,), one)], 3),  # a cycle below
+    ]
+    for num_vars, nodes, root in tables:
+        with pytest.raises(pt.errors.PCError) as expected:
+            reference_topo_order(num_vars, nodes, root)
+        with pytest.raises(type(expected.value)) as got:
+            Circuit(num_vars, nodes, root)
+        assert str(got.value) == str(expected.value)

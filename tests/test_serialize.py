@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -121,6 +122,8 @@ def test_schema_errors():
         (lambda d: d.update(nodes=[[0, "leaf", 0]] + d["nodes"][1:]), "JSON object"),
         (lambda d: d["nodes"][4].update(children=[0, 1, 5, 6.0]), "list of integers"),
         (lambda d: d["nodes"][10].update(weights=["1", "1"]), "list of numbers"),
+        # json.loads reads 1 followed by 400 zeros as an int no float holds
+        (lambda d: d["nodes"][10].update(weights=[10 ** 400, 1]), "sum 10: a weight is too large"),
         # a list is unhashable: the kind lookup must not raise TypeError
         (lambda d: d["nodes"][0].update(kind=["leaf"]), r"unknown node kind \['leaf'\]"),
     ]
@@ -154,6 +157,12 @@ def test_parse_error(tmp_path):
     path.write_text("[" * 100_000)
     with pytest.raises(ParseError, match="broken.json"):
         read_circuit(path)
+    # a number past the interpreter's int digit limit, where it has one
+    if hasattr(sys, "get_int_max_str_digits"):
+        path.write_text('{"version": 1, "num_vars": 1, "root": 0, "nodes": ['
+                        '{"id": 0, "kind": "leaf", "var": ' + "9" * 5000 + '}]}')
+        with pytest.raises(ParseError, match="broken.json"):
+            read_circuit(path)
 
 
 def _dot_statements(text: str) -> tuple[list[str], list[str]]:
