@@ -464,11 +464,18 @@ def build_circuit(num_vars: int, nodes: Iterable[Node], root: int) -> Circuit:
     :class:`Circuit` directly, so their output is checked only structurally.
     """
     nodes = tuple(nodes)
+    inf = math.inf
     for v, node in enumerate(nodes):
         if isinstance(node, Sum) and node.children:
-            if not all(0.0 <= w < math.inf for w in node.weights):
+            ws = node.weights  # floats, as Sum converts them; no min/max, which skip NaN
+            if len(ws) == 2:  # most sums; unpacked, not listed, for speed
+                a, b = ws
+                finite, nonzero = 0.0 <= a < inf and 0.0 <= b < inf, a or b
+            else:
+                finite, nonzero = all([0.0 <= w < inf for w in ws]), any(ws)
+            if not finite:  # NaN fails 0.0 <= w too
                 raise BadWeights(f"sum {v}: negative or non-finite weight")
-            if all(w == 0 for w in node.weights):
+            if not nonzero:
                 raise BadWeights(f"sum {v}: all weights zero")
     return Circuit(num_vars, nodes, root)
 

@@ -8,9 +8,11 @@ Document layout (version 1)::
                {"id": 2, "kind": "product", "children": [0, 1]}]}
 
 Ids must be dense (0..len-1, any order in the list); weights are written
-with shortest round-trip precision so write/read is lossless.  Reading
-always goes through :func:`pctree.circuit.build_circuit`, so structural
-errors surface with the same exceptions as programmatic construction.
+with shortest round-trip precision so write/read is lossless.  The reader
+checks each record in one pass and gives every leaf record with the same
+``(var, negated)`` one shared :class:`~pctree.circuit.Leaf`; it always
+ends in :func:`pctree.circuit.build_circuit`, so structural errors surface
+with the same exceptions as programmatic construction.
 """
 
 from __future__ import annotations
@@ -22,33 +24,12 @@ from typing import Any
 from .circuit import Circuit, Leaf, Node, Product, Sum, build_circuit
 from .errors import ParseError, SchemaError
 
-_FIELDS = {
-    "leaf": ({"id", "kind", "var"}, {"negated"}),
-    "sum": ({"id", "kind", "children", "weights"}, set()),
-    "product": ({"id", "kind", "children"}, set()),
-}
-
-
-def circuit_to_document(c: Circuit) -> dict[str, Any]:
-    nodes = []
-    for v, node in enumerate(c.nodes):
-        if isinstance(node, Leaf):
-            nodes.append({"id": v, "kind": "leaf", "var": node.var, "negated": node.negated})
-        elif isinstance(node, Sum):
-            nodes.append({"id": v, "kind": "sum", "children": list(node.children),
-                          "weights": list(node.weights)})
-        else:
-            nodes.append({"id": v, "kind": "product", "children": list(node.children)})
-    return {"version": 1, "num_vars": c.num_vars, "root": c.root, "nodes": nodes}
-
-
-def document_to_text(doc: dict[str, Any]) -> str:
-    """Render with one node record per line, for diffable fixtures."""
-    head = (f'{{\n  "version": {doc["version"]},\n  "num_vars": {doc["num_vars"]},\n'
-            f'  "root": {doc["root"]},\n  "nodes": [\n')
-    body = ",\n".join("    " + json.dumps(rec, separators=(", ", ": "))
-                      for rec in doc["nodes"])
-    return head + body + "\n  ]\n}\n"
+_LEAF = frozenset({"id", "kind", "var"})
+_FIELDS = {"leaf": (_LEAF | {"negated"}, _LEAF),  # per kind, the field sets a record may have
+           "sum": (frozenset({"id", "kind", "children", "weights"}),) * 2,
+           "product": (frozenset({"id", "kind", "children"}),) * 2}
+# renders as json.dumps(..., separators=(", ", ": ")), NaN and infinities too
+_encode = json.JSONEncoder(separators=(", ", ": ")).encode
 
 
 def _expect_int(rec: dict, key: str, what: str) -> int:
@@ -56,6 +37,16 @@ def _expect_int(rec: dict, key: str, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise SchemaError(f"{what}: field '{key}' must be an integer")
     return value
+
+
+def _list_of(values: Any, plain: type, types: type | tuple[type, ...]) -> bool:
+    """Whether ``values`` is a list of ``types`` but not bools; fast on ``plain`` items."""
+    if not isinstance(values, list):
+        return False
+    for x in values:
+        if type(x) is not plain:
+            return all([isinstance(x, types) and not isinstance(x, bool) for x in values])
+    return True
 
 
 def circuit_from_document(doc: Any) -> Circuit:
@@ -72,34 +63,36 @@ def circuit_from_document(doc: Any) -> Circuit:
     if not isinstance(records, list) or not records:
         raise SchemaError("'nodes' must be a non-empty list")
 
-    table: dict[int, Node] = {}
+    # ids 0..n-1 in order, None until read; any other id adds a key
+    table: dict[int, Node | None] = dict.fromkeys(range(len(records)))
+    leaves: dict[int, Leaf] = {}  # by slot: the one Leaf of each (var, negated)
     for rec in records:
         if not isinstance(rec, dict):
             raise SchemaError("each node must be a JSON object")
         kind = rec.get("kind")
-        if not isinstance(kind, str) or kind not in _FIELDS:
+        fields = _FIELDS.get(kind) if isinstance(kind, str) else None
+        if fields is None:
             raise SchemaError(f"unknown node kind {kind!r}")
-        required, optional = _FIELDS[kind]
-        keys = set(rec)
-        if not required <= keys or not keys <= required | optional:
+        keys = rec.keys()
+        if keys != fields[0] and keys != fields[1]:
             raise SchemaError(f"node fields {sorted(keys)} do not match kind '{kind}'")
-        nid = _expect_int(rec, "id", f"{kind} node")
-        if nid in table:
+        nid = rec["id"] if type(rec["id"]) is int else _expect_int(rec, "id", f"{kind} node")
+        if table.get(nid) is not None:
             raise SchemaError(f"duplicate node id {nid}")
         if kind == "leaf":
             negated = rec.get("negated", False)
-            if not isinstance(negated, bool):
+            if type(negated) is not bool:
                 raise SchemaError(f"leaf {nid}: 'negated' must be a boolean")
-            table[nid] = Leaf(_expect_int(rec, "var", f"leaf {nid}"), negated)
+            var = rec["var"] if type(rec["var"]) is int else _expect_int(rec, "var", f"leaf {nid}")
+            key = 2 * var + negated  # the slot, as Circuit reads it
+            table[nid] = leaves.get(key) or leaves.setdefault(key, Leaf(var, negated))
             continue
         children = rec["children"]
-        if (not isinstance(children, list)
-                or any(not isinstance(ch, int) or isinstance(ch, bool) for ch in children)):
+        if not _list_of(children, int, int):
             raise SchemaError(f"node {nid}: 'children' must be a list of integers")
         if kind == "sum":
             weights = rec["weights"]
-            if (not isinstance(weights, list)
-                    or any(not isinstance(w, (int, float)) or isinstance(w, bool) for w in weights)):
+            if not _list_of(weights, float, (int, float)):
                 raise SchemaError(f"sum {nid}: 'weights' must be a list of numbers")
             try:  # Sum converts every weight with float()
                 table[nid] = Sum(tuple(children), weights)
@@ -107,14 +100,36 @@ def circuit_from_document(doc: Any) -> Circuit:
                 raise SchemaError(f"sum {nid}: a weight is too large for a float") from None
         else:
             table[nid] = Product(tuple(children))
-    if set(table) != set(range(len(records))):
+    if len(table) != len(records):
         raise SchemaError("node ids must be dense (0..len-1)")
-    return build_circuit(num_vars, [table[i] for i in range(len(records))], root)
+    return build_circuit(num_vars, table.values(), root)
+
+
+def _document_text(c: Circuit) -> str:
+    """The document of ``c`` with one node record per line, for diffable
+    fixtures, each record as ``json.dumps`` renders it."""
+    lines = []
+    for v, node in enumerate(c.nodes):
+        if isinstance(node, Leaf):
+            var, neg = node.var, node.negated
+            lines.append(f'{{"id": {v}, "kind": "leaf", "var": {var if type(var) is int else _encode(var)}, '
+                         f'"negated": {"true" if neg is True else "false" if neg is False else _encode(neg)}}}')
+        elif isinstance(node, Sum):
+            lines.append(f'{{"id": {v}, "kind": "sum", "children": {_encode(node.children)}, '
+                         f'"weights": {_encode(node.weights)}}}')
+        else:
+            lines.append(f'{{"id": {v}, "kind": "product", "children": {_encode(node.children)}}}')
+    return (f'{{\n  "version": 1,\n  "num_vars": {c.num_vars},\n  "root": {c.root},\n  "nodes": [\n    '
+            + ",\n    ".join(lines) + "\n  ]\n}\n")
+
+
+def circuit_to_document(c: Circuit) -> dict[str, Any]:
+    return json.loads(_document_text(c))
 
 
 def write_circuit(c: Circuit, path: str | os.PathLike) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(document_to_text(circuit_to_document(c)))
+        fh.write(_document_text(c))
 
 
 def read_circuit(path: str | os.PathLike) -> Circuit:
@@ -133,7 +148,7 @@ def export_dot(c: Circuit) -> str:
     """Graph description: sums as '+' ellipses, products as '×' boxes,
     leaves as plain x_i / ~x_i labels, and edge labels only for weights
     different from one."""
-    lines = ["digraph circuit {", "  rankdir=TB;"]
+    lines, edges = ["digraph circuit {", "  rankdir=TB;"], []
     for v, node in enumerate(c.nodes):
         if isinstance(node, Leaf):
             name = f"~x_{node.var}" if node.negated else f"x_{node.var}"
@@ -142,17 +157,7 @@ def export_dot(c: Circuit) -> str:
             lines.append(f'  n{v} [label="+" shape=ellipse];')
         else:
             lines.append(f'  n{v} [label="×" shape=box];')
-    for v, node in enumerate(c.nodes):
-        if isinstance(node, Leaf):
-            continue
-        if isinstance(node, Sum):
-            for ch, w in zip(node.children, node.weights):
-                if w == 1.0:
-                    lines.append(f"  n{v} -> n{ch};")
-                else:
-                    lines.append(f'  n{v} -> n{ch} [label="{w:.12g}"];')
-        else:
-            for ch in node.children:
-                lines.append(f"  n{v} -> n{ch};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        weights = node.weights if isinstance(node, Sum) else [1.0] * len(node.children)
+        edges += [f"  n{v} -> n{ch};" if w == 1.0 else f'  n{v} -> n{ch} [label="{w:.12g}"];'
+                  for ch, w in zip(node.children, weights)]
+    return "\n".join(lines + edges + ["}"]) + "\n"

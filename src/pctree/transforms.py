@@ -88,11 +88,8 @@ class PipelineReport:
     root_constant: float | None = None
 
     def to_text(self) -> str:
-        lines = []
-        for s in self.stages:
-            lines.append(f"{s.stage}.nodes={s.nodes}")
-            lines.append(f"{s.stage}.edges={s.edges}")
-            lines.append(f"{s.stage}.depth={s.depth}")
+        lines = [f"{s.stage}.{key}={getattr(s, key)}"
+                 for s in self.stages for key in ("nodes", "edges", "depth")]
         if self.root_constant is not None:
             lines.append(f"root_constant={self.root_constant!r}")
         return "\n".join(lines) + "\n"

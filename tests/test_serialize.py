@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 
 import pytest
@@ -10,7 +11,6 @@ from pctree.errors import BadWeights, CycleDetected, ParseError, SchemaError
 from pctree.serialize import (
     circuit_from_document,
     circuit_to_document,
-    document_to_text,
     export_dot,
     read_circuit,
     write_circuit,
@@ -43,8 +43,51 @@ def test_round_trip_through_files(tmp_path):
     assert (again.num_vars, again.root) == (c.num_vars, c.root)
     # canonical documents survive a second pass byte for byte
     text = path.read_text()
-    doc = circuit_to_document(circuit_from_document(json.loads(text)))
-    assert document_to_text(doc) == text
+    write_circuit(circuit_from_document(json.loads(text)), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_text() == text
+    assert circuit_to_document(c) == json.loads(text)
+
+
+def _dumps_rendering(c) -> str:
+    """The document text as json.dumps renders each record, one per line."""
+    records = []
+    for v, node in enumerate(c.nodes):
+        if isinstance(node, Leaf):
+            records.append({"id": v, "kind": "leaf", "var": node.var, "negated": node.negated})
+        elif isinstance(node, Sum):
+            records.append({"id": v, "kind": "sum", "children": list(node.children),
+                            "weights": list(node.weights)})
+        else:
+            records.append({"id": v, "kind": "product", "children": list(node.children)})
+    body = ",\n".join("    " + json.dumps(rec, separators=(", ", ": ")) for rec in records)
+    return (f'{{\n  "version": 1,\n  "num_vars": {c.num_vars},\n  "root": {c.root},\n'
+            f'  "nodes": [\n{body}\n  ]\n}}\n')
+
+
+def test_writer_matches_json_dumps(tmp_path):
+    # weights build_circuit would refuse, so the table goes through Circuit
+    special = pt.Circuit(5, [Leaf(0), Leaf(1, True), Leaf(2), Leaf(3, True), Leaf(4),
+                             Sum((0, 1, 2, 3, 4), (math.nan, math.inf, -0.0, 5e-324, 1e16)),
+                             Sum((5,), (-math.inf,)),
+                             Product((6, 0))], 7)
+    dag = pt.random_valid_pc(pt.GenParams(n=6, seed=3, reuse_prob=0.5))
+    for c in (special, dag, pt.build_hard_instance(2)):
+        write_circuit(c, tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_text() == _dumps_rendering(c)
+    assert '"weights": [NaN, Infinity, -0.0, 5e-324, 1e+16]' in _dumps_rendering(special)
+
+
+def test_read_tree_shares_one_leaf_per_slot(tmp_path):
+    dag = pt.random_valid_pc(pt.GenParams(n=6, seed=1, reuse_prob=0.5))
+    tree = pt.duplicate_to_tree(dag)
+    path = tmp_path / "tree.json"
+    write_circuit(tree, path)
+    again = read_circuit(path)
+    assert again.nodes == tree.nodes
+    assert again.topo_order == tree.topo_order
+    leaves = [node for node in again.nodes if isinstance(node, Leaf)]
+    assert len(leaves) > 2 * tree.num_vars
+    assert len({id(node) for node in leaves}) <= 2 * tree.num_vars
 
 
 def test_weights_round_trip_exactly(tmp_path):
@@ -130,6 +173,53 @@ def test_schema_errors():
     for edit, message in cases:
         with pytest.raises(SchemaError, match=message):
             circuit_from_document(broken(edit))
+
+
+def _edit(path, value):
+    """Set ``doc[path[0]][path[1]]...`` in a parsed HARD_K1_DOCUMENT."""
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return edit
+
+
+# faults in the middle of a valid document, each with its message
+@pytest.mark.parametrize("edit, message", [
+    (_edit(("nodes", 4, "children"), [0, True, 5, 6]), "node 4: 'children' must be a list of integers"),
+    (_edit(("nodes", 10, "weights"), [1.0, False]), "sum 10: 'weights' must be a list of numbers"),
+    (_edit(("nodes", 10, "weights"), [1.0, "1"]), "sum 10: 'weights' must be a list of numbers"),
+    (_edit(("nodes", 5, "id"), 5.0), "leaf node: field 'id' must be an integer"),
+    (_edit(("nodes", 5, "id"), True), "leaf node: field 'id' must be an integer"),
+    (_edit(("nodes", 5, "id"), -1), r"node ids must be dense \(0..len-1\)"),
+    # eleven records, ids 0-4 and 6-11
+    (_edit(("nodes", 5, "id"), 11), r"node ids must be dense \(0..len-1\)"),
+    (_edit(("nodes", 6, "id"), 2), "duplicate node id 2"),
+    (_edit(("nodes", 5, "negated"), 1), "leaf 5: 'negated' must be a boolean"),
+    (_edit(("nodes", 5, "negated"), None), "leaf 5: 'negated' must be a boolean"),
+    (_edit(("nodes", 5, "var"), 2.0), "leaf 5: field 'var' must be an integer"),
+    (_edit(("nodes", 3), [3, "leaf", 3]), "each node must be a JSON object"),
+    (_edit(("nodes", 7, "kind"), "max"), "unknown node kind 'max'"),
+])
+def test_record_faults(edit, message):
+    doc = json.loads(HARD_K1_DOCUMENT)
+    edit(doc)
+    with pytest.raises(SchemaError, match=f"^{message}$"):
+        circuit_from_document(doc)
+
+
+def test_slow_checks_accept_int_subclasses_and_int_weights():
+    class Id(int):
+        pass
+
+    doc = json.loads(HARD_K1_DOCUMENT)
+    doc["nodes"][4].update(id=Id(4), children=[Id(0), 1, 5, 6])
+    doc["nodes"][5]["var"] = Id(2)
+    doc["nodes"][10]["weights"] = [1, 1.0]
+    c = circuit_from_document(doc)
+    assert c.nodes == circuit_from_document(json.loads(HARD_K1_DOCUMENT)).nodes
+    assert c.nodes[10].weights == (1.0, 1.0)
 
 
 def test_structural_errors_propagate():
