@@ -133,12 +133,11 @@ def write_circuit(c: Circuit, path: str | os.PathLike) -> None:
 
 
 def read_circuit(path: str | os.PathLike) -> Circuit:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        doc = json.loads(text)
-    # a JSONDecodeError is a ValueError, as is a number past the int digit
-    # limit; a RecursionError means nesting too deep
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
+    # a UnicodeDecodeError and a JSONDecodeError are ValueErrors, as is a
+    # number past the int digit limit; a RecursionError means nesting too deep
     except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return circuit_from_document(doc)

@@ -24,19 +24,22 @@ it.  A summand left with one node factor is that node, not a one-child
 product, and a gate whose one summand has weight 1.0 is that summand,
 not a one-child sum; multiplying by 1.0 is exact, so no weight changes.
 
-Only the gates the root's gate reaches are built, by one iterative
-post-order walk over gate keys from the root's value.  A key at degree
-gap at most one is built when popped: an indicator leaf, or an affine
-gate over the value or the derivative ``d_w f(u)``, read from one reverse
-pass down from ``u`` that gives the derivatives by every node of degree
-at least ``deg(w)`` at once, memoized per ``(u, deg(w))``.  Any other key
-gets its summand plan (the frontier pivots below it and the three factor
-keys of each), then its factors are walked, and it is built once they
-all are.  The pivots, and whether a pivot's child reaches ``w``, come
-from the same degree-floored walk.  Constant folding happens while
-building, so a few gates may go unused; the final reachability pass
-drops them.  The output depends only on the circuit's nodes and root,
-not on its ``topo_order``.
+Only the gates the root's gate reaches are built, by one memoized
+recursion over gate keys from the root's value.  A key at degree gap at
+most one is an indicator leaf, or an affine gate over the value or the
+derivative ``d_w f(u)``, read from one reverse pass down from ``u`` that
+gives the derivatives by every node of degree at least ``deg(w)`` at
+once, memoized per ``(u, deg(w))``.  Any other key lists its summands
+(the frontier pivots below it and the three factor keys of each), builds
+each factor not built yet, last factor first, and then its own sum, so
+arena ids are children-first.  The pivots, and whether a pivot's child
+reaches ``w``, come from the same degree-floored walk.  The recursion
+follows bands, not the input's depth: each nested key is in a lower band
+or is a value of at most half its caller's degree, so it nests
+O(log^2 d) calls for root degree ``d``; the walks over the input are
+iterative.  Constant folding happens while building, so a few gates may
+go unused; the final reachability pass drops them.  The output depends
+only on the circuit's nodes and root, not on its ``topo_order``.
 """
 
 from __future__ import annotations
@@ -285,7 +288,7 @@ class _Arena:
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the gate walk).  A summand whose weight, the
+    band construction and the gate recursion).  A summand whose weight, the
     product of its constant factors, is 0.0 is dropped, also when nonzero
     factors underflow to it.  A gate weight that overflows raises
     :class:`NonFiniteValue` naming the gate, and a root polynomial that
@@ -305,12 +308,23 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     adjoints = cache(polys.adjoints)
     pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
 
-    def plan(u: int, w: int | None, lo: int) -> list[tuple[tuple[int, int | None], ...]]:
-        """Factor keys of each summand of gate ``(u, w)`` in band ``lo``:
-        ``f(a) * f(b) * d_t f(u)`` for a value, ``f(t2) * d_w f(t1) *
-        d_t f(u)`` for a derivative, one per frontier pivot ``t``.  Every
-        pair a plan names has deg(u) < 2 deg(w), as the band expansions
-        require."""
+    def gate(u: int, w: int | None) -> _Gate:
+        """Gate ``(u, w)``: ``f(u)`` when ``w`` is None, else ``d_w f(u)``.
+        At degree gap <= 1 it is an indicator leaf or an affine gate, and
+        gap zero folds to a constant.  Otherwise each frontier pivot ``t``
+        of its band gives one summand, and the factors not built yet are
+        built last factor first.  A derivative flows through the heavier
+        child ``t1`` of ``t``; on a degree tie neither child reaches
+        ``w``, since every pair a summand names has deg(u) < 2 deg(w), as
+        the band expansions require."""
+        gap = deg[u] - (0 if w is None else deg[w])
+        if gap <= 1:
+            node = circuit.nodes[u]
+            if w is None and isinstance(node, Leaf):
+                return arena.leaf(node.var, node.negated), 1.0
+            return arena.affine_gate((u, w), polys.get(u) if w is None else polys.held(
+                f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]))
+        lo = 1 << ((gap - 1).bit_length() - 1)
         m = lo if w is None else lo + deg[w]
         below = pivots(u, m)
         if not below:
@@ -319,43 +333,14 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         for t in below:
             a, b = circuit.nodes[t].children
             if w is not None:
-                # the derivative flows through the heavier child t1; on a
-                # degree tie neither child reaches w, as deg(t) < 2 deg(w)
                 t1, t2 = (a, b) if deg[a] > deg[b] else (b, a)
                 if w not in polys.below(t1, deg[w]):
                     continue  # derivative cannot flow through t1: zero summand
                 a, b = t2, t1
             summands.append(((a, None), (b, w), (u, t)))
-        return summands
-
-    # one post-order walk over the gate keys the root's gate reaches.  A
-    # key at degree gap <= 1 is built when popped: an indicator leaf, or
-    # an affine gate (gap zero folds to a constant, gap one is a sum over
-    # a single variable's indicators, or its one indicator of weight 1.0).
-    # Any other key is planned on its first visit and built on its second,
-    # once every factor is built.
-    # Only a key's own factors are stacked above its plan, so a second
-    # copy of it lies below and is popped after it is built.
-    stack: list = [((circuit.root, None), None)]
-    while stack:
-        key, summands = stack.pop()
-        if key in gates:
-            continue
-        if summands is None:
-            u, w = key
-            gap = deg[u] - (0 if w is None else deg[w])
-            if gap <= 1:
-                node = circuit.nodes[u]
-                if w is None and isinstance(node, Leaf):
-                    gates[key] = arena.leaf(node.var, node.negated), 1.0
-                else:
-                    gates[key] = arena.affine_gate(key, polys.get(u) if w is None else polys.held(
-                        f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]))
-                continue
-            summands = plan(u, w, 1 << ((gap - 1).bit_length() - 1))
-            stack.append((key, summands))
-            stack.extend((k, None) for keys in summands for k in keys if k not in gates)
-            continue
+        for k in reversed([k for keys in summands for k in keys]):
+            if k not in gates:
+                gates[k] = gate(*k)
         pairs = []
         for keys in summands:
             scale, kids = 1.0, []
@@ -366,9 +351,14 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                     kids.append(child)
             if scale != 0.0:
                 pairs.append((kids[0] if len(kids) == 1 else arena.add(Product(kids)), scale))
-        gates[key] = arena.sum_(key, pairs)
+        return arena.sum_((u, w), pairs)
 
-    root_gate, _ = gates[circuit.root, None]
+    try:
+        root_gate, _ = gate(circuit.root, None)
+    finally:
+        # gate's closure holds gate itself: a cycle that would keep the
+        # arena and every cache alive until the next full garbage collection
+        del gate
     if root_gate is None:
         # the root has degree >= 1, so a constant gate is a polynomial
         # whose every coefficient underflowed to zero

@@ -243,6 +243,10 @@ def test_parse_error(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ParseError):
         read_circuit(path)
+    # bytes that are not UTF-8, here a UTF-16 byte order mark
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ParseError, match="broken.json"):
+        read_circuit(path)
     # nesting deeper than the decoder's recursion limit
     path.write_text("[" * 100_000)
     with pytest.raises(ParseError, match="broken.json"):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 import sys
@@ -394,6 +395,49 @@ def test_reduce_depth_is_exact_and_logarithmic_on_wide_dags(n, w):
     reduced = pt.reduce_depth(pt.binarize(c))
     assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(reduced), 1e-9)
     assert reduced.stats().depth <= 2 * (n - 1).bit_length() + 1
+
+
+@pytest.mark.parametrize("name", ["hard-4", "dag-48"])
+def test_reduce_depth_recursion_follows_bands_not_input_depth(name):
+    """The gate recursion nests O(log^2 d) calls for root degree d, so 60
+    frames above the caller reduce root degree 256 and a 48-variable DAG:
+    a recursion on input depth (130 for hard-4 binarized) or on gate
+    count (6 746 for dag-48) runs out of frames."""
+    c = (pt.build_hard_instance(4) if name == "hard-4"
+         else pt.random_valid_pc(pt.GenParams(n=48, seed=1, reuse_prob=0.5)))
+    b = pt.binarize(c)
+    frames, f = 0, sys._getframe()
+    while f is not None:
+        frames, f = frames + 1, f.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(frames + 60)
+    try:
+        reduced = pt.reduce_depth(b)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(reduced.nodes) == {"hard-4": 1379, "dag-48": 6746}[name]
+
+
+def test_reduce_depth_leaves_no_reference_cycle():
+    """Everything the reducer builds but does not return is freed when it
+    returns or raises; a cycle would keep its arena and caches, about
+    2 MB on hard-4, alive until the next full collection."""
+    overflow = build_circuit(4, [Leaf(0), Leaf(1), Leaf(2), Leaf(3),
+                                 Product((0, 1)), Product((2, 3)), Product((4, 5)),
+                                 Sum((6,), (1e200,)), Sum((7,), (1e200,)), Sum((8,), (1e200,))], 9)
+    for c in (pt.build_hard_instance(3), pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5)),
+              overflow):
+        b = pt.binarize(c)
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                pt.reduce_depth(b)
+            except NonFiniteValue:
+                assert c is overflow
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 @pytest.mark.parametrize("n", [6, 8, 12, 16])
