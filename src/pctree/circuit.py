@@ -55,26 +55,27 @@ class Leaf:
     children: ClassVar[tuple[int, ...]] = ()  # not a field: equality and documents ignore it
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Sum:
     """Weighted sum over earlier nodes; one weight per child edge."""
 
     children: tuple[int, ...]
     weights: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+    def __init__(self, children: Iterable[int], weights: Iterable[float]) -> None:
+        # frozen: each field is set once, already converted
+        object.__setattr__(self, "children", tuple(children))
+        object.__setattr__(self, "weights", tuple(map(float, weights)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Product:
     """Product over earlier nodes."""
 
     children: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "children", tuple(self.children))
+    def __init__(self, children: Iterable[int]) -> None:
+        object.__setattr__(self, "children", tuple(children))
 
 
 Node = Union[Leaf, Sum, Product]

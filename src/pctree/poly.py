@@ -10,6 +10,13 @@ coefficient by coefficient.
 Only multilinear polynomials are representable, matching what
 decomposable circuits can compute; multiplying two monomials that share
 a slot raises :class:`~pctree.errors.NotMultilinear`.
+
+:func:`extract_polynomial` keeps only what the root still needs: one walk
+over ``topo_order`` counts each node's parent edges and drops a node's
+polynomial once its last parent is built, and a sum whose first child is
+on its last use scales that child's term map in place instead of copying
+it.  Every sum adds its further children in place and drops zeros once,
+so the coefficients are the textbook left fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import random
 from functools import cache
 from typing import Callable, Iterator, Sequence
 
-from .circuit import Circuit, Leaf, Sum, _bits, slot
+from .circuit import Circuit, Leaf, Product, Sum, _bits, slot
 from .errors import (
     AssignmentLengthMismatch,
     KTooLarge,
@@ -193,9 +200,18 @@ class SparsePolynomial:
         return "\n".join(lines) + "\n"
 
 
+def _check_tol(tol: float) -> None:
+    # math.isclose takes an infinite tolerance as "any two finite values
+    # agree" and a NaN one silently as exact equality
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+
+
 def poly_equal(p: SparsePolynomial, q: SparsePolynomial, tol: float = 0.0) -> bool:
     """True when the term sets coincide and coefficients agree within a
-    relative tolerance (exact equality at ``tol=0``)."""
+    relative tolerance (exact equality at ``tol=0``); ``tol`` must be
+    finite and non-negative."""
+    _check_tol(tol)
     if p.num_vars != q.num_vars:
         raise VarCountMismatch(f"{p.num_vars} vs {q.num_vars} variables")
     if p.terms.keys() != q.terms.keys():
@@ -209,7 +225,12 @@ def extract_polynomial(c: Circuit) -> SparsePolynomial:
     Raises :class:`TermBudgetExceeded` as soon as any intermediate result
     outgrows the monomial budget (:func:`term_budget`), so infeasible
     circuits fail loudly instead of exhausting memory; an overflowed
-    coefficient raises :class:`NonFiniteValue` naming a node."""
+    coefficient raises :class:`NonFiniteValue` naming a node.  Each node's
+    polynomial is freed after its last parent (:meth:`_Expander.root`)."""
+    p = _Expander(c).root()
+    if p.is_finite():
+        return p
+    # naming the first bad node takes every node's polynomial: expand again, keeping them
     polys = _Expander(c)
     return polys.finite(polys.get(c.root), f"node {c.root}")
 
@@ -224,13 +245,15 @@ def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0
     trial.  The points lie in ``[1, 2)``, so a monomial of degree ``d``
     grows like ``2**d`` rather than ``(2n+1)**d`` and values stay finite
     at every supported size; a value that is not finite raises
-    :class:`NonFiniteValue` rather than being compared.  The answer is
-    one-sided: ``False`` is definitive, ``True`` probabilistic.
+    :class:`NonFiniteValue` rather than being compared, and ``tol`` must
+    be finite and non-negative.  The answer is one-sided: ``False`` is
+    definitive, ``True`` probabilistic.
     """
     if c1.num_vars != c2.num_vars:
         raise VarCountMismatch(f"{c1.num_vars} vs {c2.num_vars} variables")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_tol(tol)
     rng = random.Random(seed)
     points = 2 * c1.num_vars + 2
     for _ in range(trials):
@@ -297,7 +320,9 @@ class _Expander:
     """Memoized exact node polynomials of one circuit, and the partial
     derivatives of a node, expanded on demand under the :func:`term_budget`
     cap.  Every product folds its unit monomial factors into one mask, then
-    multiplies the rest in order (:meth:`_product`)."""
+    multiplies the rest in order (:meth:`_product`); every sum adds into
+    one term map (:meth:`_value`).  :meth:`get` keeps each polynomial it
+    expands, :meth:`root` only those some node still needs."""
 
     def __init__(self, c: Circuit):
         self.c = c
@@ -347,16 +372,60 @@ class _Expander:
                 stack.extend([ch for ch in nodes[u].children if ch not in memo])
         return memo[v]
 
-    def _value(self, u: int) -> SparsePolynomial:
-        node, n = self.c.nodes[u], self.c.num_vars
+    def root(self) -> SparsePolynomial:
+        """The root's polynomial by one walk over ``topo_order``, held to
+        the cap as :meth:`get` holds it, that drops a node's polynomial from
+        the memo once its last parent edge is used.  A sum whose first child
+        is on its last use takes over that child's terms, unless a one-child
+        product may share them (:meth:`_product` returns a lone factor
+        itself)."""
+        c, memo = self.c, self.memo
+        nodes = c.nodes
+        uses = [0] * len(nodes)
+        lent = set()
+        for u, node in enumerate(nodes):
+            for ch in node.children:
+                uses[ch] += 1
+            if len(node.children) == 1 and isinstance(node, Product):
+                lent.update((u, node.children[0]))
+        for u in c.topo_order:
+            kids = nodes[u].children
+            spent = bool(kids) and uses[kids[0]] == 1 and kids[0] not in lent
+            memo[u] = self.held(f"node {u}", lambda: self._value(u, spent))
+            for ch in kids:
+                uses[ch] -= 1
+                if not uses[ch]:
+                    del memo[ch]
+        return memo[c.root]
+
+    def _value(self, u: int, spent: bool = False) -> SparsePolynomial:
+        """``u``'s polynomial from its children's; ``spent`` lets a sum
+        take over its first child's terms (:meth:`root` drops that child
+        next)."""
+        node, n, memo = self.c.nodes[u], self.c.num_vars, self.memo
         if isinstance(node, Leaf):
             return SparsePolynomial.indicator(n, node.var, node.negated)
-        if isinstance(node, Sum):
-            p = SparsePolynomial.zero(n)
-            for ch, w in zip(node.children, node.weights):
-                p = p.add(self.memo[ch], w)
-            return p
-        return self._product([self.memo[ch] for ch in node.children])
+        if not isinstance(node, Sum):
+            return self._product([memo[ch] for ch in node.children])
+        # w * c and the left fold's 0.0 + w * c differ only in a zero's
+        # sign, and adding a zero to a nonzero x gives x: every coefficient
+        # is the fold's, and zeros are dropped once, at the end
+        pairs = zip(node.children, node.weights)
+        ch, w = next(pairs)
+        terms = memo[ch].terms
+        if spent:
+            if w != 1.0:
+                for m, x in terms.items():
+                    terms[m] = w * x
+        else:
+            terms = dict(terms) if w == 1.0 else {m: w * x for m, x in terms.items()}
+        get = terms.get
+        for ch, w in pairs:
+            for m, x in memo[ch].terms.items():
+                terms[m] = get(m, 0.0) + w * x
+        for m in [m for m, x in terms.items() if not x]:
+            del terms[m]
+        return SparsePolynomial._of(n, terms)
 
     def _product(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
         """Product of ``factors`` in their given order, except that each one

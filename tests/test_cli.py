@@ -59,6 +59,18 @@ def test_equiv_detects_difference(tmp_path, capsys):
     assert code == 1 and out == "UNEQUAL\n"
 
 
+def test_equiv_rejects_a_tolerance_that_is_not_finite(tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    main(["gen-random", "--n", "6", "--seed", "1", "--out", a])
+    main(["gen-random", "--n", "6", "--seed", "2", "--out", b])
+    for tol in ("inf", "nan"):
+        for mode in (["--exact"], ["--trials", "4"]):
+            for other in (a, b):
+                code, out, err = run(capsys, "equiv", "--a", a, "--b", other, *mode, "--tol", tol)
+                assert code == 1 and out == ""
+                assert err.count("\n") == 1 and err.startswith("error: tol must be")
+
+
 def test_equiv_modes_agree_on_corpus_pairs(tmp_path, capsys):
     from pctree.transforms import treeify
 

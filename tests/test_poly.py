@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -127,6 +128,59 @@ def test_product_fold_matches_the_left_fold_bit_for_bit():
     assert {m.bit_count() for m in hard4.terms} == {256}
 
 
+def hex_terms(p):
+    return [(m, x.hex()) for m, x in p.terms.items()]
+
+
+def test_extract_polynomial_matches_the_keeping_walk_bit_for_bit():
+    circuits = [pt.build_hard_instance(k) for k in (1, 2, 3, 4)]
+    for n in (8, 12, 16):
+        c = pt.random_valid_pc(pt.GenParams(n=n, seed=1, reuse_prob=0.5))
+        b = pt.binarize(c)
+        r = pt.reduce_depth(b)
+        circuits += [c, b, r, pt.duplicate_to_tree(r)]
+    for c in circuits:
+        assert hex_terms(pt.extract_polynomial(c)) == hex_terms(pt.node_polynomials(c)[c.root])
+
+
+def test_extract_polynomial_never_sums_into_a_polynomial_still_held():
+    x, nx = Leaf(0), Leaf(0, True)
+    circuits = [
+        # the one-child product 3 holds node 2's own polynomial and is the
+        # first child of sum 5; node 2 has another parent, sum 6
+        build_circuit(1, [x, nx, Sum((0, 1), (0.3, 0.7)), Product((2,)),
+                          Sum((0, 1), (0.6, 0.4)), Sum((3, 4), (0.25, 0.75)),
+                          Sum((2,), (2.0,)), Sum((5, 6), (0.5, 0.5))], 7),
+        build_circuit(1, [x, nx, Sum((0, 1), (0.3, 0.7)), Product((2,)),
+                          Sum((0, 1), (0.6, 0.4)), Sum((3, 4), (0.25, 0.75)),
+                          Sum((2,), (2.0,)), Sum((6, 5), (0.5, 0.5))], 7),
+        # node 2 is sum 4's first child on its last use while the product
+        # over it, node 3, still holds its polynomial
+        build_circuit(1, [x, nx, Sum((0, 1), (0.3, 0.7)), Product((2,)),
+                          Sum((2, 0), (0.25, 0.75)), Sum((4, 3), (0.5, 0.5))], 5),
+        # a sum that lists the same child twice
+        build_circuit(1, [x, nx, Sum((0, 1), (0.3, 0.7)), Sum((2, 2), (0.25, 0.5))], 3),
+    ]
+    for c in circuits:
+        want = left_fold_polynomials(c)[c.root]
+        assert hex_terms(pt.extract_polynomial(c)) == hex_terms(want)
+        assert hex_terms(pt.node_polynomials(c)[c.root]) == hex_terms(want)
+
+
+def test_extract_polynomial_peak_memory_stays_near_its_result():
+    c = pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5))
+    tree, _ = pt.treeify(c, normalize_output=True)
+    tracemalloc.start()
+    try:
+        p = pt.extract_polynomial(tree)
+        result, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(p.terms) == 2 ** 16
+    # keeping every node's polynomial until the end peaks at 3.5 times the result
+    assert peak <= 2.5 * result
+
+
 def test_non_multilinear_product_names_the_node():
     leaf_leaf = build_circuit(1, [Leaf(0), Leaf(0), Product((0, 1))], 2)
     leaf_sum = build_circuit(1, [Leaf(0), Sum((0, 3), (0.5, 0.5)), Product((0, 1)),
@@ -207,6 +261,20 @@ def test_poly_equal():
     assert pt.poly_equal(a, close, 1e-9)
     with pytest.raises(VarCountMismatch):
         pt.poly_equal(a, SparsePolynomial.zero(3))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    a = SparsePolynomial(2, {mono((0, False)): 1.0})
+    b = SparsePolynomial(2, {mono((1, False)): 2.0})
+    for p, q in ((a, a), (a, b)):
+        with pytest.raises(ValueError, match="tol"):
+            pt.poly_equal(p, q, tol)
+    c = pt.random_valid_pc(pt.GenParams(n=6, seed=1))
+    d = pt.random_valid_pc(pt.GenParams(n=6, seed=2))
+    for x, y in ((c, c), (c, d)):
+        with pytest.raises(ValueError, match="tol"):
+            pt.random_equivalence(x, y, trials=4, tol=tol)
 
 
 def test_poly_equal_is_an_equivalence_at_zero_tolerance():
