@@ -22,7 +22,7 @@ import sys
 from . import transforms
 from .errors import PCError
 from .instances import GenParams, build_hard_instance, random_valid_pc, strip_negations
-from .poly import extract_polynomial, poly_equal, random_equivalence
+from .poly import _check_tol, extract_polynomial, poly_equal, random_equivalence
 from .serialize import export_dot, read_circuit, write_circuit
 
 
@@ -86,6 +86,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     a = read_circuit(args.a)
     b = read_circuit(args.b)
     if args.exact:
+        _check_tol(args.tol)  # before the expansions, which can take long
         equal = poly_equal(extract_polynomial(a), extract_polynomial(b), tol=args.tol)
     else:
         equal = random_equivalence(a, b, trials=args.trials, seed=args.seed, tol=args.tol)

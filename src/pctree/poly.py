@@ -316,18 +316,47 @@ def _below(c: Circuit, v: int, floor: int) -> set[int]:
     return seen
 
 
+def _sum_terms(maps: list[dict[int, float]], weights: Sequence[float],
+               spent: bool = False) -> dict[int, float]:
+    """The term map of ``sum(w * m for m, w in zip(maps, weights))``:
+    the first map scaled, then each further one added into it, with
+    zeros dropped once, at the end.  ``w * c`` and the textbook left
+    fold's ``0.0 + w * c`` differ only in a zero's sign, and adding a zero
+    to a nonzero ``x`` gives ``x``, so every coefficient is the fold's.
+    ``spent`` lets the sum scale the first map in place instead of
+    copying it."""
+    terms, w = maps[0], weights[0]
+    if spent:
+        if w != 1.0:
+            for m, x in terms.items():
+                terms[m] = w * x
+    else:
+        terms = dict(terms) if w == 1.0 else {m: w * x for m, x in terms.items()}
+    get = terms.get
+    for more, w in zip(maps[1:], weights[1:]):
+        for m, x in more.items():
+            terms[m] = get(m, 0.0) + w * x
+    for m in [m for m, x in terms.items() if not x]:
+        del terms[m]
+    return terms
+
+
 class _Expander:
     """Memoized exact node polynomials of one circuit, and the partial
     derivatives of a node, expanded on demand under the :func:`term_budget`
     cap.  Every product folds its unit monomial factors into one mask, then
     multiplies the rest in order (:meth:`_product`); every sum adds into
-    one term map (:meth:`_value`).  :meth:`get` keeps each polynomial it
-    expands, :meth:`root` only those some node still needs."""
+    one term map (:func:`_sum_terms`).  :meth:`get` keeps each polynomial
+    it expands, :meth:`root` only those some node still needs.  The
+    reducer's base cases make no polynomial: :meth:`linear` gives a
+    degree-one node's term map, :meth:`constant_adjoints` the derivatives
+    at degree gap zero as floats."""
 
     def __init__(self, c: Circuit):
         self.c = c
         self.cap = term_budget()
         self.memo: dict[int, SparsePolynomial] = {}
+        self.term_maps: dict[int, dict[int, float]] = {}  # :meth:`linear`'s
         #: ``_below(c, v, floor)``, memoized: the reducer's adjoint passes,
         #: pivots and reach often ask for the same region
         self.below = cache(lambda v, floor: _below(c, v, floor))
@@ -358,15 +387,41 @@ class _Expander:
         raise NonFiniteValue(f"{next(bad, name)}: a coefficient is not finite")
 
     def get(self, v: int) -> SparsePolynomial:
-        """``v``'s polynomial: an iterative post-order walk expands each
-        node below ``v`` not memoized yet, held to the cap."""
-        memo, nodes = self.memo, self.c.nodes
+        """``v``'s polynomial, with every node below it not memoized yet
+        (:meth:`_walk`), each held to the cap."""
+        return self._walk(v, self.memo, lambda u: self.held(f"node {u}", lambda: self._value(u)))
+
+    def linear(self, v: int) -> dict[int, float]:
+        """The term map of a degree-one node ``v``'s polynomial, memoized
+        apart from :meth:`get`'s with every node below it, all of degree
+        one: a leaf's indicator, a sum's fold (:func:`_sum_terms`, as in
+        :meth:`_value`), or a one-child product's lone factor.  No
+        polynomial object is made; a sum past the cap raises
+        :class:`TermBudgetExceeded` naming its node, as :meth:`get` does."""
+        return self._walk(v, self.term_maps, self._linear)
+
+    def _linear(self, u: int) -> dict[int, float]:
+        node, memo = self.c.nodes[u], self.term_maps
+        if isinstance(node, Leaf):
+            return {1 << slot(node.var, node.negated): 1.0}
+        if not isinstance(node, Sum):
+            return memo[node.children[0]]
+        terms = _sum_terms([memo[ch] for ch in node.children], node.weights)
+        if len(terms) > self.cap:
+            raise TermBudgetExceeded(f"node {u} expands past {self.cap} monomials")
+        return terms
+
+    def _walk(self, v: int, memo: dict, rule: Callable[[int], object]):
+        """``memo[v]``, after an iterative post-order walk has set
+        ``memo[u] = rule(u)`` for each node ``u`` below ``v`` not in
+        ``memo``, its children first."""
+        nodes = self.c.nodes
         stack = [v]
         while stack:
             u = stack.pop()
             if u < 0:  # every child of ~u is memoized
                 u = ~u
-                memo[u] = self.held(f"node {u}", lambda: self._value(u))
+                memo[u] = rule(u)
             elif u not in memo:  # a copy of u above ~u would close a cycle
                 stack.append(~u)
                 stack.extend([ch for ch in nodes[u].children if ch not in memo])
@@ -407,25 +462,8 @@ class _Expander:
             return SparsePolynomial.indicator(n, node.var, node.negated)
         if not isinstance(node, Sum):
             return self._product([memo[ch] for ch in node.children])
-        # w * c and the left fold's 0.0 + w * c differ only in a zero's
-        # sign, and adding a zero to a nonzero x gives x: every coefficient
-        # is the fold's, and zeros are dropped once, at the end
-        pairs = zip(node.children, node.weights)
-        ch, w = next(pairs)
-        terms = memo[ch].terms
-        if spent:
-            if w != 1.0:
-                for m, x in terms.items():
-                    terms[m] = w * x
-        else:
-            terms = dict(terms) if w == 1.0 else {m: w * x for m, x in terms.items()}
-        get = terms.get
-        for ch, w in pairs:
-            for m, x in memo[ch].terms.items():
-                terms[m] = get(m, 0.0) + w * x
-        for m in [m for m, x in terms.items() if not x]:
-            del terms[m]
-        return SparsePolynomial._of(n, terms)
+        return SparsePolynomial._of(n, _sum_terms([memo[ch].terms for ch in node.children],
+                                                  node.weights, spent))
 
     def _product(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
         """Product of ``factors`` in their given order, except that each one
@@ -456,13 +494,14 @@ class _Expander:
         once all of its parents there have passed theirs to it, passes
         ``weight * adj`` to each child there if a sum, and ``adj`` times the
         other children's values if a product.  Each adjoint is held to the
-        cap; errors name no pair, which is the caller's to name."""
+        cap; errors name no pair, which is the caller's to name.  At
+        ``floor == deg u`` every adjoint is a constant: the pass is
+        :meth:`constant_adjoints`, its floats wrapped."""
+        if floor == self.c.degrees[u]:
+            n = self.c.num_vars
+            return {v: SparsePolynomial.constant(n, a) for v, a in self.constant_adjoints(u).items()}
         nodes, cap, region = self.c.nodes, self.cap, self.below(u, floor)
-        waiting = dict.fromkeys(region, 0)
-        for v in region:
-            for ch in nodes[v].children:
-                if ch in waiting:
-                    waiting[ch] += 1
+        waiting = self._waiting(region)
         adj = {u: SparsePolynomial.constant(self.c.num_vars, 1.0)}
         ready = [u]
         while ready:
@@ -484,3 +523,37 @@ class _Expander:
                 if not waiting[ch]:
                     ready.append(ch)
         return adj
+
+    def constant_adjoints(self, u: int) -> dict[int, float]:
+        """``d_w f(u)`` for every ``w`` in ``_below(c, u, deg u)``, as
+        floats: every node there has ``u``'s degree, so only sums and
+        one-child products lead into it, and :meth:`adjoints`' pass needs
+        no polynomial.  A sum passes ``weight * a`` to each child there, a
+        product ``a`` to its one child, and ``0.0`` stands for the zero
+        polynomial, which passes ``0.0`` (``inf * 0.0`` would be NaN):
+        every value is the polynomial pass's constant term, bit for bit."""
+        nodes, region = self.c.nodes, self.below(u, self.c.degrees[u])
+        waiting = self._waiting(region)
+        adj = {u: 1.0}
+        ready = [u]
+        while ready:
+            v = ready.pop()
+            a, node = adj[v], nodes[v]
+            weights = node.weights if isinstance(node, Sum) else (1.0,) * len(node.children)
+            for ch, w in zip(node.children, weights):
+                if ch in waiting:
+                    adj[ch] = adj.get(ch, 0.0) + (w * a if a else 0.0)
+                    waiting[ch] -= 1
+                    if not waiting[ch]:
+                        ready.append(ch)
+        return adj
+
+    def _waiting(self, region: set[int]) -> dict[int, int]:
+        """Per node of ``region``, its parent edges from inside it."""
+        nodes = self.c.nodes
+        waiting = dict.fromkeys(region, 0)
+        for v in region:
+            for ch in nodes[v].children:
+                if ch in waiting:
+                    waiting[ch] += 1
+        return waiting

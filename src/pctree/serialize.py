@@ -18,6 +18,7 @@ with the same exceptions as programmatic construction.
 from __future__ import annotations
 
 import json
+import math
 import os
 from typing import Any
 
@@ -30,6 +31,18 @@ _FIELDS = {"leaf": (_LEAF | {"negated"}, _LEAF),  # per kind, the field sets a r
            "product": (frozenset({"id", "kind", "children"}),) * 2}
 # renders as json.dumps(..., separators=(", ", ": ")), NaN and infinities too
 _encode = json.JSONEncoder(separators=(", ", ": ")).encode
+
+
+def _list_text(values: tuple) -> str:
+    """``values`` as :data:`_encode` renders them.  A list of plain ints and
+    finite plain floats is their reprs, as the encoder writes them, without
+    its per-call set-up; NaN, infinities, bools and subclasses go through
+    the encoder."""
+    for x in values:
+        kind = type(x)
+        if kind is not int and (kind is not float or not math.isfinite(x)):
+            return _encode(values)
+    return "[" + ", ".join(map(repr, values)) + "]"
 
 
 def _expect_int(rec: dict, key: str, what: str) -> int:
@@ -115,10 +128,10 @@ def _document_text(c: Circuit) -> str:
             lines.append(f'{{"id": {v}, "kind": "leaf", "var": {var if type(var) is int else _encode(var)}, '
                          f'"negated": {"true" if neg is True else "false" if neg is False else _encode(neg)}}}')
         elif isinstance(node, Sum):
-            lines.append(f'{{"id": {v}, "kind": "sum", "children": {_encode(node.children)}, '
-                         f'"weights": {_encode(node.weights)}}}')
+            lines.append(f'{{"id": {v}, "kind": "sum", "children": {_list_text(node.children)}, '
+                         f'"weights": {_list_text(node.weights)}}}')
         else:
-            lines.append(f'{{"id": {v}, "kind": "product", "children": {_encode(node.children)}}}')
+            lines.append(f'{{"id": {v}, "kind": "product", "children": {_list_text(node.children)}}}')
     return (f'{{\n  "version": 1,\n  "num_vars": {c.num_vars},\n  "root": {c.root},\n  "nodes": [\n    '
             + ",\n    ".join(lines) + "\n  ]\n}\n")
 

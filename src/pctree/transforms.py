@@ -26,20 +26,24 @@ not a one-child sum; multiplying by 1.0 is exact, so no weight changes.
 
 Only the gates the root's gate reaches are built, by one memoized
 recursion over gate keys from the root's value.  A key at degree gap at
-most one is an indicator leaf, or an affine gate over the value or the
-derivative ``d_w f(u)``, read from one reverse pass down from ``u`` that
-gives the derivatives by every node of degree at least ``deg(w)`` at
-once, memoized per ``(u, deg(w))``.  Any other key lists its summands
-(the frontier pivots below it and the three factor keys of each), builds
-each factor not built yet, last factor first, and then its own sum, so
-arena ids are children-first.  The pivots, and whether a pivot's child
-reaches ``w``, come from the same degree-floored walk.  The recursion
-follows bands, not the input's depth: each nested key is in a lower band
-or is a value of at most half its caller's degree, so it nests
-O(log^2 d) calls for root degree ``d``; the walks over the input are
-iterative.  Constant folding happens while building, so a few gates may
-go unused; the final reachability pass drops them.  The output depends
-only on the circuit's nodes and root, not on its ``topo_order``.
+most one is built from plain numbers where it can be.  A degree-one
+value is an indicator leaf or an affine gate over the node's memoized
+term map.  A derivative at gap zero is a constant, read from one float
+reverse pass down from ``u`` that gives the derivatives by every node of
+``u``'s degree at once, memoized per ``u``.  Only a derivative at gap
+one, whose products need their co-factors, is an affine gate over a
+polynomial reverse pass, memoized per ``(u, deg(w))``.  Any other key
+lists its summands (the frontier pivots below it and the three factor
+keys of each), builds each factor not built yet, last factor first, and
+then its own sum, so arena ids are children-first.  The pivots, and
+whether a pivot's child reaches ``w``, come from the same degree-floored
+walk.  The recursion follows bands, not the input's depth: each nested
+key is in a lower band or is a value of at most half its caller's
+degree, so it nests O(log^2 d) calls for root degree ``d``; the walks
+over the input are iterative.  Constant folding happens while building,
+so a few gates may go unused; the final reachability pass drops them.
+The output depends only on the circuit's nodes and root, not on its
+``topo_order``.
 """
 
 from __future__ import annotations
@@ -270,14 +274,15 @@ class _Arena:
             raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
         return self.add(Sum([p for p, _ in pairs], weights)), 1.0
 
-    def affine_gate(self, key: tuple[int, int | None], p: SparsePolynomial) -> _Gate:
-        """Realize gate ``key``'s polynomial of degree <= 1: a constant
-        (including the zero polynomial) is the gate ``(None, c)``, a
-        linear form a :meth:`sum_` over the matching indicator leaves."""
-        if p.is_constant():
-            return None, p.constant_value()
+    def affine_gate(self, key: tuple[int, int | None], terms: dict[int, float]) -> _Gate:
+        """Realize gate ``key``'s polynomial of degree <= 1, given as its
+        term map: a constant (including the zero polynomial) is the gate
+        ``(None, c)``, a linear form a :meth:`sum_` over the matching
+        indicator leaves."""
+        if terms.keys() <= {0}:
+            return None, terms.get(0, 0.0)
         pairs = []
-        for m, coeff in p.sorted_terms():
+        for m, coeff in sorted(terms.items()):
             if m.bit_count() != 1:
                 raise NotHomogeneous("affine gate mixes a constant with linear terms")
             s = m.bit_length() - 1
@@ -288,7 +293,10 @@ class _Arena:
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the gate recursion).  A summand whose weight, the
+    band construction and the gate recursion).  The base cases make no
+    polynomial object: a degree-one value is a term map
+    (``_Expander.linear``) and a derivative at degree gap zero a float
+    (``_Expander.constant_adjoints``).  A summand whose weight, the
     product of its constant factors, is 0.0 is dropped, also when nonzero
     factors underflow to it.  A gate weight that overflows raises
     :class:`NonFiniteValue` naming the gate, and a root polynomial that
@@ -305,25 +313,29 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     arena = _Arena()
     gates: dict[tuple[int, int | None], _Gate] = {}
     polys = _Expander(circuit)
-    adjoints = cache(polys.adjoints)
+    adjoints, constant_adjoints = cache(polys.adjoints), cache(polys.constant_adjoints)
     pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
 
     def gate(u: int, w: int | None) -> _Gate:
         """Gate ``(u, w)``: ``f(u)`` when ``w`` is None, else ``d_w f(u)``.
-        At degree gap <= 1 it is an indicator leaf or an affine gate, and
-        gap zero folds to a constant.  Otherwise each frontier pivot ``t``
-        of its band gives one summand, and the factors not built yet are
-        built last factor first.  A derivative flows through the heavier
-        child ``t1`` of ``t``; on a degree tie neither child reaches
-        ``w``, since every pair a summand names has deg(u) < 2 deg(w), as
-        the band expansions require."""
+        At degree gap <= 1 it is an indicator leaf, an affine gate over a
+        term map, or, for a derivative at gap zero, a constant.  Otherwise
+        each frontier pivot ``t`` of its band gives one summand, and the
+        factors not built yet are built last factor first.  A derivative
+        flows through the heavier child ``t1`` of ``t``; on a degree tie
+        neither child reaches ``w``, since every pair a summand names has
+        deg(u) < 2 deg(w), as the band expansions require."""
         gap = deg[u] - (0 if w is None else deg[w])
         if gap <= 1:
-            node = circuit.nodes[u]
-            if w is None and isinstance(node, Leaf):
-                return arena.leaf(node.var, node.negated), 1.0
-            return arena.affine_gate((u, w), polys.get(u) if w is None else polys.held(
-                f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]))
+            if w is None:
+                node = circuit.nodes[u]
+                if isinstance(node, Leaf):
+                    return arena.leaf(node.var, node.negated), 1.0
+                return arena.affine_gate((u, w), polys.linear(u))
+            if not gap:
+                return None, constant_adjoints(u)[w]
+            return arena.affine_gate((u, w), polys.held(
+                f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]).terms)
         lo = 1 << ((gap - 1).bit_length() - 1)
         m = lo if w is None else lo + deg[w]
         below = pivots(u, m)

@@ -145,6 +145,49 @@ def chain_rule_table(c: Circuit, polys: list[SparsePolynomial],
     return table
 
 
+def reverse_pass_adjoints(c: Circuit, u: int, floor: int,
+                          polys: list[SparsePolynomial]) -> dict[int, SparsePolynomial]:
+    """``d_w f(u)`` for every ``w`` reachable from ``u`` through nodes of
+    degree at least ``floor``, by the reverse pass in polynomial
+    arithmetic: a node, once each parent of it there has passed, passes
+    ``weight * adjoint`` to each child there if a sum, and the adjoint
+    times the other children's ``polys`` if a product.  Nodes are visited
+    from a stack of ready nodes, children in order, so that every sum
+    adds its parts in the order the library's pass does."""
+    deg = c.degrees
+    region, stack = {u}, [u]
+    while stack:
+        for ch in c.nodes[stack.pop()].children:
+            if ch not in region and deg[ch] >= floor:
+                region.add(ch)
+                stack.append(ch)
+    waiting = dict.fromkeys(region, 0)
+    for v in region:
+        for ch in c.nodes[v].children:
+            if ch in region:
+                waiting[ch] += 1
+    adj = {u: SparsePolynomial.constant(c.num_vars, 1.0)}
+    ready = [u]
+    while ready:
+        v = ready.pop()
+        node = c.nodes[v]
+        for j, ch in enumerate(node.children):
+            if ch not in region:
+                continue
+            if isinstance(node, Sum):
+                part = adj[v].scaled(node.weights[j])
+            else:
+                part = adj[v]
+                for i, other in enumerate(node.children):
+                    if i != j:
+                        part = part.mul(polys[other])
+            adj[ch] = adj[ch].add(part) if ch in adj else part
+            waiting[ch] -= 1
+            if not waiting[ch]:
+                ready.append(ch)
+    return adj
+
+
 def frontier_triples(c: Circuit, m: int) -> list[tuple[int, int, int]]:
     deg = c.degrees
     return [(t, node.children[0], node.children[1])

@@ -71,6 +71,21 @@ def test_equiv_rejects_a_tolerance_that_is_not_finite(tmp_path, capsys):
                 assert err.count("\n") == 1 and err.startswith("error: tol must be")
 
 
+
+def test_exact_equiv_checks_the_tolerance_before_expanding(tmp_path, capsys, monkeypatch):
+    import pctree.cli
+
+    def no_expansion(c):
+        raise AssertionError("extract_polynomial called before --tol was checked")
+
+    a = str(tmp_path / "a.json")
+    main(["gen-random", "--n", "6", "--seed", "1", "--out", a])
+    monkeypatch.setattr(pctree.cli, "extract_polynomial", no_expansion)
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run(capsys, "equiv", "--a", a, "--b", a, "--exact", "--tol", tol)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: tol must be a finite number >= 0")
+
 def test_equiv_modes_agree_on_corpus_pairs(tmp_path, capsys):
     from pctree.transforms import treeify
 

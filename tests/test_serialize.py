@@ -9,6 +9,7 @@ from pctree import build_circuit
 from pctree.circuit import Leaf, Product, Sum
 from pctree.errors import BadWeights, CycleDetected, ParseError, SchemaError
 from pctree.serialize import (
+    _list_text,
     circuit_from_document,
     circuit_to_document,
     export_dot,
@@ -76,6 +77,24 @@ def test_writer_matches_json_dumps(tmp_path):
         assert (tmp_path / "c.json").read_text() == _dumps_rendering(c)
     assert '"weights": [NaN, Infinity, -0.0, 5e-324, 1e+16]' in _dumps_rendering(special)
 
+
+
+def test_list_rendering_matches_json_dumps():
+    """Plain ints and finite floats print by repr; everything else the
+    JSON encoder renders goes through it, byte for byte as json.dumps."""
+    class Id(int):
+        def __repr__(self):
+            return f"Id({int(self)})"
+
+    class Weight(float):
+        def __repr__(self):
+            return "Weight"
+
+    cases = [(), (0, 1), (3, 12345678901234567890), (0.5, -0.0, 5e-324, 1e16, 1.0 / 3.0),
+             (1, 2.5), (math.nan,), (0.5, math.inf), (-math.inf, 1.0), (True, 1), (0, False),
+             (Id(7), 2), (Weight(0.25), 0.5)]
+    for values in cases:
+        assert _list_text(values) == json.dumps(list(values), separators=(", ", ": "))
 
 def test_read_tree_shares_one_leaf_per_slot(tmp_path):
     dag = pt.random_valid_pc(pt.GenParams(n=6, seed=1, reuse_prob=0.5))

@@ -15,6 +15,7 @@ from pctree.errors import (
     NotBinary,
     NotHomogeneous,
     SizeBudgetExceeded,
+    TermBudgetExceeded,
     ZeroWeightSum,
 )
 from pctree.transforms import stage_metrics
@@ -24,6 +25,8 @@ from oracles import (
     descendants,
     frontier_triples,
     layered_dag,
+    left_fold_polynomials,
+    reverse_pass_adjoints,
     substitute_atom_derivative,
     table_hash,
 )
@@ -647,6 +650,68 @@ def test_pipeline_handles_zero_weights_wires_and_repeated_children():
         assert _pass_throughs(reduced) == []
 
 
+def _hex_terms(terms: dict[int, float]) -> dict[int, str]:
+    return {m: x.hex() for m, x in terms.items()}
+
+
+def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
+    """The reducer's two base cases skip polynomial objects: a degree-one
+    node's value is a term map (``_Expander.linear``), a derivative at
+    degree gap zero a float (``_Expander.constant_adjoints``).  Both equal,
+    bit for bit, the node polynomials and the polynomial reverse pass, on
+    one-child product wires inside gap-zero regions, repeated children,
+    zero weights, parts that cancel to 0.0, and an infinite weight under a
+    zero one (a zero adjoint passes 0.0: inf * 0.0 would be NaN)."""
+    from pctree.poly import _Expander
+
+    wires = build_circuit(2, [Leaf(0), Leaf(0, True), Sum((0, 1), (1.0, 0.0)),
+                              Leaf(1), Leaf(1, True), Sum((3, 4), (0.5, 0.5)),
+                              Product((2, 5)), Product((6,)), Sum((7, 7), (0.3, 0.7)),
+                              Sum((8,), (2.0,))], 9)
+    cancel = Circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.5, 0.5)),
+                         Sum((2,), (1.0,)), Sum((2,), (1.0,)), Sum((3, 4), (1.0, -1.0)),
+                         Sum((2,), (math.inf,)), Sum((6,), (0.0,)), Product((5,)),
+                         Sum((8, 7, 2, 2), (1.0, 1.0, 2.5, -2.5))], 9)
+    corpus = [wires, pt.binarize(wires), cancel, pt.binarize(pt.build_hard_instance(2))]
+    for seed in range(6):  # shared DAGs with zero weights, as the pipeline test makes them
+        dag = pt.random_valid_pc(pt.GenParams(n=8, seed=seed, reuse_prob=0.5))
+        rng = random.Random(seed)
+        nodes = list(dag.nodes)
+        for v, node in enumerate(nodes):
+            if isinstance(node, Sum) and len(node.children) > 1 and rng.random() < 0.4:
+                weights = list(node.weights)
+                weights[rng.randrange(len(weights))] = 0.0
+                nodes[v] = Sum(node.children, weights)
+        corpus.append(pt.binarize(build_circuit(dag.num_vars, nodes, dag.root)))
+    seen_wire = seen_zero = False
+    for c in corpus:
+        # node_polynomials' memoized walk, without its finiteness check
+        deg, polys, memoized = c.degrees, _Expander(c), _Expander(c)
+        folds = left_fold_polynomials(c)
+        for u, node in enumerate(c.nodes):
+            if deg[u] == 1:
+                assert (_hex_terms(polys.linear(u)) == _hex_terms(memoized.get(u).terms)
+                        == _hex_terms(folds[u].terms))
+            adjoints = polys.constant_adjoints(u)
+            want = reverse_pass_adjoints(c, u, deg[u], folds)
+            assert adjoints.keys() == want.keys()
+            for w, a in adjoints.items():
+                assert a.hex() == want[w].terms.get(0, 0.0).hex()
+                if math.isfinite(a):  # partial_derivative refuses the others
+                    assert a.hex() == pt.partial_derivative(c, u, w).constant_value().hex()
+                seen_zero |= a == 0.0
+            seen_wire |= isinstance(node, Product) and len(node.children) == 1 and len(adjoints) > 1
+    assert seen_wire and seen_zero
+    linear = _Expander(cancel).linear
+    assert linear(5) == {} and _hex_terms(linear(9)) == {0b01: "nan", 0b10: "nan"}
+    # a degree-one term map past the cap names its node, as every expansion does
+    monkeypatch.setenv("PC_TERM_BUDGET", "1")
+    mixture = build_circuit(2, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.5, 0.5)), Leaf(1),
+                                Product((2, 3))], 4)
+    with pytest.raises(TermBudgetExceeded, match="^node 2 expands past 1 monomials$"):
+        pt.reduce_depth(mixture)
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_treeify_depth_bound(n):
     c = pt.random_valid_pc(pt.GenParams(n=n, seed=0, reuse_prob=0.35))
@@ -660,6 +725,8 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "6b349a142252917ff803cfb84ec01ed95b6ee80a72430feeb6d5e3e021963670"),
     "dag-32": ("6fdf8d22dc0a6a59028519882bf28d413c8e83198d850806fd15347a33284d77",
                "9dfe40e94c083b31c6b5879e1a9460e82c0c397cdc9cbe0123466aec2cb57d9c"),
+    "dag-48": ("e521bb27d16a4c04003fc74e72ff13051ab4dce84a4d599cfe437aae77c6c720",
+               "718d75809504645641e3b7807d1414fbeac7140d3415c2f336fced0025ebe2d4"),
     "hard-3": ("d7239ee6251e5b596038f59d351d5aeff727e571f65a1b00fbf48aabe7faa87f",
                "2d133ac618124208a049ec1986fca927d98aabd9a659f925d6ffc214e39af099"),
     "hard-4": ("0ce4d9047451ae086b461d783b41328a4ed31f024e666bd45f7a1072a377c2d1",
@@ -668,8 +735,8 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                     "c7c5f98b781d810f81713eb4184f859f45702742462fa62d7f4f9df0138710c0"),
 }
 GOLDEN_SIZES = {  # input: (reduce_depth output's node count, its depth)
-    "dag-16": (557, 9), "dag-32": (2148, 11), "hard-3": (303, 7), "hard-4": (1379, 9),
-    "layered-8-4": (721, 7),
+    "dag-16": (557, 9), "dag-32": (2148, 11), "dag-48": (6746, 13), "hard-3": (303, 7),
+    "hard-4": (1379, 9), "layered-8-4": (721, 7),
 }
 
 
