@@ -67,6 +67,14 @@ class Sum:
         object.__setattr__(self, "children", tuple(children))
         object.__setattr__(self, "weights", tuple(map(float, weights)))
 
+    @classmethod
+    def _of(cls, children: tuple[int, ...], weights: tuple[float, ...]) -> "Sum":
+        """Adopt ``children`` and tuple ``weights`` of floats as they are."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "children", children)
+        object.__setattr__(s, "weights", weights)
+        return s
+
 
 @dataclass(frozen=True, slots=True, init=False)
 class Product:
@@ -193,6 +201,12 @@ class Circuit:
         self.nodes = nodes
         self.root = root
         self.topo_order = tuple(order)
+
+    def _reweighted(self, nodes: Sequence[Node]) -> "Circuit":
+        """This circuit with ``nodes`` of the same kinds and children: no check or peel again."""
+        c = object.__new__(Circuit)
+        c.num_vars, c.nodes, c.root, c.topo_order = self.num_vars, tuple(nodes), self.root, self.topo_order
+        return c
 
     # -- basic queries ------------------------------------------------------
 

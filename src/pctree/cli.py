@@ -11,12 +11,14 @@ Subcommands::
     export-dot   write a DOT rendering of the circuit graph
 
 All commands are deterministic given their flags; module errors exit
-with status 1 and a one-line diagnostic, usage errors with status 2.
+with status 1 and a one-line diagnostic, usage errors with status 2, and
+a reader that closes standard output early with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import transforms
@@ -177,7 +179,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # in the try, as a buffered write fails here
+        return status
+    except BrokenPipeError:  # the reader left; the Python docs' SIGPIPE recipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (PCError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

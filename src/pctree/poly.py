@@ -41,6 +41,10 @@ from .errors import (
 #: variable, a positive integer, overrides it.
 DEFAULT_TERM_BUDGET = 10 ** 6
 
+#: Most variables :func:`random_equivalence` draws points over, 256 times the largest
+#: supported instance: a point has ``2 * num_vars`` slots, read or not (0.1 s, 5 MB).
+_MAX_POINT_VARS = 2 ** 16
+
 
 def term_budget() -> int:
     text = os.environ.get("PC_TERM_BUDGET")
@@ -210,10 +214,13 @@ def _check_tol(tol: float) -> None:
 def poly_equal(p: SparsePolynomial, q: SparsePolynomial, tol: float = 0.0) -> bool:
     """True when the term sets coincide and coefficients agree within a
     relative tolerance (exact equality at ``tol=0``); ``tol`` must be
-    finite and non-negative."""
+    finite and non-negative.  Equal finite term maps answer at once (dict
+    equality reuses stored hashes, but calls a NaN object equal to itself)."""
     _check_tol(tol)
     if p.num_vars != q.num_vars:
         raise VarCountMismatch(f"{p.num_vars} vs {q.num_vars} variables")
+    if p.terms == q.terms and p.is_finite():
+        return True
     if p.terms.keys() != q.terms.keys():
         return False
     return all(math.isclose(q.terms[m], c, rel_tol=tol) for m, c in p.terms.items())
@@ -245,14 +252,16 @@ def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0
     trial.  The points lie in ``[1, 2)``, so a monomial of degree ``d``
     grows like ``2**d`` rather than ``(2n+1)**d`` and values stay finite
     at every supported size; a value that is not finite raises
-    :class:`NonFiniteValue` rather than being compared, and ``tol`` must
-    be finite and non-negative.  The answer is one-sided: ``False`` is
-    definitive, ``True`` probabilistic.
+    :class:`NonFiniteValue` rather than being compared; ``tol`` must be
+    finite and non-negative, ``num_vars`` at most :data:`_MAX_POINT_VARS`.
+    The answer is one-sided: ``False`` is definitive, ``True`` probabilistic.
     """
     if c1.num_vars != c2.num_vars:
         raise VarCountMismatch(f"{c1.num_vars} vs {c2.num_vars} variables")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if c1.num_vars > _MAX_POINT_VARS:
+        raise ValueError(f"{c1.num_vars} variables: points are drawn over at most {_MAX_POINT_VARS}")
     _check_tol(tol)
     rng = random.Random(seed)
     points = 2 * c1.num_vars + 2
@@ -348,9 +357,9 @@ class _Expander:
     multiplies the rest in order (:meth:`_product`); every sum adds into
     one term map (:func:`_sum_terms`).  :meth:`get` keeps each polynomial
     it expands, :meth:`root` only those some node still needs.  The
-    reducer's base cases make no polynomial: :meth:`linear` gives a
-    degree-one node's term map, :meth:`constant_adjoints` the derivatives
-    at degree gap zero as floats."""
+    reducer makes no polynomial: :meth:`linear` gives a degree-one node's
+    term map, :meth:`numeric_adjoints` the derivatives at degree gap zero
+    as floats and at gap one as term maps."""
 
     def __init__(self, c: Circuit):
         self.c = c
@@ -494,16 +503,10 @@ class _Expander:
         once all of its parents there have passed theirs to it, passes
         ``weight * adj`` to each child there if a sum, and ``adj`` times the
         other children's values if a product.  Each adjoint is held to the
-        cap; errors name no pair, which is the caller's to name.  At
-        ``floor == deg u`` every adjoint is a constant: the pass is
-        :meth:`constant_adjoints`, its floats wrapped."""
-        if floor == self.c.degrees[u]:
-            n = self.c.num_vars
-            return {v: SparsePolynomial.constant(n, a) for v, a in self.constant_adjoints(u).items()}
+        cap; errors name no pair, which is the caller's to name."""
         nodes, cap, region = self.c.nodes, self.cap, self.below(u, floor)
         waiting = self._waiting(region)
-        adj = {u: SparsePolynomial.constant(self.c.num_vars, 1.0)}
-        ready = [u]
+        adj, ready = {u: SparsePolynomial.constant(self.c.num_vars, 1.0)}, [u]
         while ready:
             v = ready.pop()
             a = adj[v]
@@ -524,28 +527,36 @@ class _Expander:
                     ready.append(ch)
         return adj
 
-    def constant_adjoints(self, u: int) -> dict[int, float]:
-        """``d_w f(u)`` for every ``w`` in ``_below(c, u, deg u)``, as
-        floats: every node there has ``u``'s degree, so only sums and
-        one-child products lead into it, and :meth:`adjoints`' pass needs
-        no polynomial.  A sum passes ``weight * a`` to each child there, a
-        product ``a`` to its one child, and ``0.0`` stands for the zero
-        polynomial, which passes ``0.0`` (``inf * 0.0`` would be NaN):
-        every value is the polynomial pass's constant term, bit for bit."""
-        nodes, region = self.c.nodes, self.below(u, self.c.degrees[u])
-        waiting = self._waiting(region)
-        adj = {u: 1.0}
-        ready = [u]
+    def numeric_adjoints(self, u: int, floor: int) -> dict[int, float | dict[int, float]]:
+        """:meth:`adjoints` at ``floor`` ``deg u`` or, if homogeneous, ``deg u - 1``,
+        bit for bit by the same traversal and additions over numbers: a float
+        per node of ``u``'s degree, else a term map, whose ``(map, factor)``
+        parts are summed (:func:`_sum_terms`) and held to the cap once all
+        have come.  A product of ``u``'s degree passes ``a`` times its other
+        child's :meth:`linear` map; a zero ``a`` passes ``0.0`` or ``{}``, not ``inf * 0.0``."""
+        nodes, deg, cap = self.c.nodes, self.c.degrees, self.cap
+        top, adj, ready = deg[u], {u: 1.0}, [u]
+        waiting = self._waiting(self.below(u, floor))
         while ready:
             v = ready.pop()
             a, node = adj[v], nodes[v]
-            weights = node.weights if isinstance(node, Sum) else (1.0,) * len(node.children)
-            for ch, w in zip(node.children, weights):
-                if ch in waiting:
-                    adj[ch] = adj.get(ch, 0.0) + (w * a if a else 0.0)
-                    waiting[ch] -= 1
-                    if not waiting[ch]:
-                        ready.append(ch)
+            if deg[v] < top:
+                a = adj[v] = _sum_terms(*zip(*a))
+                if len(a) > cap:
+                    raise TermBudgetExceeded(f"the adjoint of node {v} expands past {cap} monomials")
+            kids = node.children
+            weights = node.weights if isinstance(node, Sum) else (1.0,) * len(kids)
+            for j, ch in enumerate(kids):
+                if ch not in waiting:
+                    continue
+                if deg[ch] == top:  # and so is v's: floats
+                    adj[ch] = adj.get(ch, 0.0) + (weights[j] * a if a else 0.0)
+                else:
+                    adj.setdefault(ch, []).append((self.linear(kids[1 - j]) if a else {}, a)
+                                                  if deg[v] == top else (a, weights[j]))
+                waiting[ch] -= 1
+                if not waiting[ch]:
+                    ready.append(ch)
         return adj
 
     def _waiting(self, region: set[int]) -> dict[int, int]:

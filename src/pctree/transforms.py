@@ -26,13 +26,12 @@ not a one-child sum; multiplying by 1.0 is exact, so no weight changes.
 
 Only the gates the root's gate reaches are built, by one memoized
 recursion over gate keys from the root's value.  A key at degree gap at
-most one is built from plain numbers where it can be.  A degree-one
-value is an indicator leaf or an affine gate over the node's memoized
-term map.  A derivative at gap zero is a constant, read from one float
-reverse pass down from ``u`` that gives the derivatives by every node of
-``u``'s degree at once, memoized per ``u``.  Only a derivative at gap
-one, whose products need their co-factors, is an affine gate over a
-polynomial reverse pass, memoized per ``(u, deg(w))``.  Any other key
+most one is built from plain numbers.  A degree-one value is an
+indicator leaf or an affine gate over the node's memoized term map.  A
+derivative is a constant at gap zero and an affine gate at gap one, read
+from one reverse pass down from ``u`` over floats and degree-one term
+maps that gives the derivatives by every node of ``deg(w)`` at once,
+memoized per ``(u, deg(w))``.  Any other key
 lists its summands (the frontier pivots below it and the three factor
 keys of each), builds each factor not built yet, last factor first, and
 then its own sum, so arena ids are children-first.  The pivots, and
@@ -61,6 +60,7 @@ from .errors import (
     NotBinary,
     NotHomogeneous,
     SizeBudgetExceeded,
+    TermBudgetExceeded,
     ZeroWeightSum,
 )
 from .poly import SparsePolynomial, _below, _Expander
@@ -147,7 +147,7 @@ def binarize(c: Circuit) -> Circuit:
         tail, tail_weight = kids[-1], weights[-1]
         for j in range(len(kids) - 2, -1, -1):
             pair = (kids[j], tail)
-            link = Sum(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product(pair)
+            link = Sum._of(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product(pair)
             if j == 0:
                 nodes[v] = link
             else:
@@ -178,7 +178,7 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
             total = sum(eff)
             if total <= 0.0:
                 raise ZeroWeightSum(f"sum {v} has no positive outgoing weight")
-            nodes[v] = Sum(node.children, tuple(e / total for e in eff))
+            nodes[v] = Sum._of(node.children, tuple([e / total for e in eff]))
             scale[v] = total
         elif isinstance(node, Product):
             acc = 1.0
@@ -187,7 +187,7 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
             scale[v] = acc
         if not math.isfinite(scale[v]):
             raise NonFiniteValue(f"{type(node).__name__.lower()} {v}: scale {scale[v]!r} is not finite")
-    return Circuit(c.num_vars, nodes, c.root), scale[c.root]
+    return c._reweighted(nodes), scale[c.root]
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +269,10 @@ class _Arena:
             return None, 0.0
         if len(pairs) == 1 and pairs[0][1] == 1.0:
             return pairs[0][0], 1.0
-        weights = tuple(w for _, w in pairs)
+        kids, weights = zip(*pairs)
         if not all(map(math.isfinite, weights)):
             raise NonFiniteValue(f"gate (node, wrt) = {key} has a non-finite weight")
-        return self.add(Sum([p for p, _ in pairs], weights)), 1.0
+        return self.add(Sum._of(kids, weights)), 1.0
 
     def affine_gate(self, key: tuple[int, int | None], terms: dict[int, float]) -> _Gate:
         """Realize gate ``key``'s polynomial of degree <= 1, given as its
@@ -293,10 +293,10 @@ class _Arena:
 def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
-    band construction and the gate recursion).  The base cases make no
-    polynomial object: a degree-one value is a term map
-    (``_Expander.linear``) and a derivative at degree gap zero a float
-    (``_Expander.constant_adjoints``).  A summand whose weight, the
+    band construction and the gate recursion).  It makes no polynomial
+    object: a degree-one value is a term map (``_Expander.linear``), a
+    derivative at degree gap zero a float and at gap one a term map
+    (``_Expander.numeric_adjoints``).  A summand whose weight, the
     product of its constant factors, is 0.0 is dropped, also when nonzero
     factors underflow to it.  A gate weight that overflows raises
     :class:`NonFiniteValue` naming the gate, and a root polynomial that
@@ -308,12 +308,16 @@ def reduce_depth(circuit: Circuit) -> Circuit:
         v, why = report.witnesses[failed[0]]
         raise NotHomogeneous(f"depth reduction requires a valid homogeneous circuit "
                              f"(failed: {', '.join(failed)}; node {v}: {why})")
+    return _reduce(circuit)
 
+
+def _reduce(circuit: Circuit) -> Circuit:
+    """:func:`reduce_depth` of a binary, valid, homogeneous circuit."""
     deg = circuit.degrees
     arena = _Arena()
     gates: dict[tuple[int, int | None], _Gate] = {}
     polys = _Expander(circuit)
-    adjoints, constant_adjoints = cache(polys.adjoints), cache(polys.constant_adjoints)
+    adjoints = cache(polys.numeric_adjoints)
     pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
 
     def gate(u: int, w: int | None) -> _Gate:
@@ -332,10 +336,12 @@ def reduce_depth(circuit: Circuit) -> Circuit:
                 if isinstance(node, Leaf):
                     return arena.leaf(node.var, node.negated), 1.0
                 return arena.affine_gate((u, w), polys.linear(u))
-            if not gap:
-                return None, constant_adjoints(u)[w]
-            return arena.affine_gate((u, w), polys.held(
-                f"derivative of node {u} by node {w}", lambda: adjoints(u, deg[w])[w]).terms)
+            try:
+                a = adjoints(u, deg[w])[w]
+            except TermBudgetExceeded:
+                raise TermBudgetExceeded(f"derivative of node {u} by node {w} expands past "
+                                         f"{polys.cap} monomials") from None
+            return (None, a) if not gap else arena.affine_gate((u, w), a)
         lo = 1 << ((gap - 1).bit_length() - 1)
         m = lo if w is None else lo + deg[w]
         below = pivots(u, m)
@@ -438,7 +444,7 @@ def duplicate_to_tree(c: Circuit) -> Circuit:
             stack.append((ch, base))
             base += size[ch]
             kids.append(base - 1)
-        out[base] = (Sum(tuple(kids), node.weights) if isinstance(node, Sum)
+        out[base] = (Sum._of(tuple(kids), node.weights) if isinstance(node, Sum)
                      else Product(tuple(kids)))
     return Circuit(c.num_vars, out, total - 1)
 
@@ -449,7 +455,8 @@ def duplicate_to_tree(c: Circuit) -> Circuit:
 
 def treeify(c: Circuit, normalize_output: bool = False) -> tuple[Circuit, PipelineReport]:
     """binarize -> reduce_depth -> (normalize) -> duplicate_to_tree,
-    recording node/edge/depth metrics after every stage.
+    recording node/edge/depth metrics after every stage.  The input's
+    validity is checked once, by ``binarize``.
 
     Normalizing the reduced circuit before the copy gives the same tree
     and constant, bit for bit, as normalizing the copy, since a node's
@@ -462,7 +469,8 @@ def treeify(c: Circuit, normalize_output: bool = False) -> tuple[Circuit, Pipeli
     stages = [stage_metrics("input", c)]
     b = binarize(c)
     stages.append(stage_metrics("binarize", b))
-    r = reduce_depth(b)
+    # b is binary, valid and so homogeneous: each degree is a scope's size
+    r = _reduce(b)
     reduced = stage_metrics("reduce_depth", r)
     stages.append(reduced)
     constant = None

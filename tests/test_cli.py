@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pctree as pt
 from pctree.cli import main
@@ -271,3 +276,41 @@ def test_term_budget_env(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PC_TERM_BUDGET")
     code, out, _ = run(capsys, "equiv", "--a", a, "--b", a, "--exact")
     assert code == 0 and out == "EQUAL\n"
+
+def test_a_closed_pipe_ends_the_command_quietly(tmp_path):
+    """A reader that leaves before the output is written, as ``grep -q``
+    does, is not an error: no diagnostic and status 0.  Unbuffered, the
+    first ``print`` meets the closed pipe; buffered, the flush does."""
+    path = str(tmp_path / "hard.json")
+    main(["gen-hard", "--k", "1", "--out", path])
+    src = str(Path(pt.__file__).resolve().parents[1])
+    for unbuffered in ("1", ""):
+        env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+        read, write = os.pipe()
+        os.close(read)  # the reader has left before the command starts
+        try:
+            done = subprocess.run([sys.executable, "-m", "pctree.cli", "stats", "--in", path],
+                                  stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_equiv_refuses_a_point_over_too_many_variables(tmp_path, capsys):
+    """A document may declare far more variables than its leaves read;
+    random points over all of them are refused before any is drawn."""
+    path = str(tmp_path / "wide.json")
+    for num_vars, bound in ((2 ** 16 + 1, 2 ** 16), (10 ** 30, 2 ** 16)):
+        Path(path).write_text(json.dumps({"version": 1, "num_vars": num_vars, "root": 0,
+                                          "nodes": [{"id": 0, "kind": "leaf", "var": 0}]}))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "equiv", "--a", path, "--b", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1 and out == ""
+        assert err == f"error: {num_vars} variables: points are drawn over at most {bound}\n"
+        assert peak < 2 ** 20  # one point at the bound alone would take about 4 MB
+    code, out, _ = run(capsys, "stats", "--in", path)
+    assert code == 0 and "nodes=1" in out

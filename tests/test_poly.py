@@ -277,6 +277,19 @@ def test_tolerance_must_be_finite_and_non_negative(tol):
             pt.random_equivalence(x, y, trials=4, tol=tol)
 
 
+def test_poly_equal_takes_no_nan_as_equal():
+    """Dict equality calls one NaN object equal to itself, so maps that
+    share it are still compared term by term, and unequal."""
+    nan = math.nan
+    p = SparsePolynomial(1, {mono((0, False)): nan})
+    q = SparsePolynomial(1, {mono((0, False)): nan})
+    assert p.terms == q.terms
+    for tol in (0.0, 1e-9):
+        assert not pt.poly_equal(p, q, tol) and not pt.poly_equal(p, p, tol)
+    inf = SparsePolynomial(1, {mono((0, False)): math.inf})
+    assert pt.poly_equal(inf, SparsePolynomial(1, {mono((0, False)): math.inf}))
+
+
 def test_poly_equal_is_an_equivalence_at_zero_tolerance():
     polys = [
         SparsePolynomial(2, {mono((0, False)): 0.5}),

@@ -657,7 +657,7 @@ def _hex_terms(terms: dict[int, float]) -> dict[int, str]:
 def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
     """The reducer's two base cases skip polynomial objects: a degree-one
     node's value is a term map (``_Expander.linear``), a derivative at
-    degree gap zero a float (``_Expander.constant_adjoints``).  Both equal,
+    degree gap zero a float (``_Expander.numeric_adjoints``).  Both equal,
     bit for bit, the node polynomials and the polynomial reverse pass, on
     one-child product wires inside gap-zero regions, repeated children,
     zero weights, parts that cancel to 0.0, and an infinite weight under a
@@ -692,7 +692,7 @@ def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
             if deg[u] == 1:
                 assert (_hex_terms(polys.linear(u)) == _hex_terms(memoized.get(u).terms)
                         == _hex_terms(folds[u].terms))
-            adjoints = polys.constant_adjoints(u)
+            adjoints = polys.numeric_adjoints(u, deg[u])
             want = reverse_pass_adjoints(c, u, deg[u], folds)
             assert adjoints.keys() == want.keys()
             for w, a in adjoints.items():
@@ -710,6 +710,66 @@ def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
                                 Product((2, 3))], 4)
     with pytest.raises(TermBudgetExceeded, match="^node 2 expands past 1 monomials$"):
         pt.reduce_depth(mixture)
+
+
+def _zero_some_weights(c: Circuit, seed: int) -> Circuit:
+    """``c`` with one weight of about 40 % of its multi-child sums set to 0.0."""
+    rng, nodes = random.Random(seed), list(c.nodes)
+    for v, node in enumerate(nodes):
+        if isinstance(node, Sum) and len(node.children) > 1 and rng.random() < 0.4:
+            weights = list(node.weights)
+            weights[rng.randrange(len(weights))] = 0.0
+            nodes[v] = Sum(node.children, weights)
+    return build_circuit(c.num_vars, nodes, c.root)
+
+
+def test_gap_one_derivatives_from_numbers_match_partial_derivative():
+    """The reducer's derivatives at degree gap one come from one reverse
+    pass over floats and term maps (``_Expander.numeric_adjoints``).  Each
+    equals, bit for bit, the polynomial pass that ``partial_derivative``
+    reads, and a sample of pairs equals ``partial_derivative`` itself,
+    also where zero weights make zero adjoints, through one-child product
+    wires at either degree, and where a zero adjoint meets an infinite
+    co-factor (it passes nothing: inf * 0.0 would be NaN)."""
+    from pctree.poly import _Expander
+
+    def wires(weights: tuple[float, float], top: tuple[float, float]) -> Circuit:
+        return Circuit(3, [n for v in range(3) for n in (Leaf(v), Leaf(v, True))] + [
+            Sum((0, 1), (0.25, 0.75)), Sum((2, 3), (0.5, 0.0)), Sum((4, 5), weights),  # 6-8
+            Product((6,)), Product((9, 7)), Product((10,)), Product((11, 8)),  # 9-12
+            Sum((12, 12), top), Sum((13,), (2.0,))], 14)
+
+    hard3, layered = pt.build_hard_instance(3), layered_dag(6, 4, seed=1)
+    corpus = [wires((1.0, 2.5), (0.3, 0.7)), wires((1.0, math.inf), (0.0, 0.0)), hard3,
+              pt.build_hard_instance(4), layered_dag(6, 2, seed=1), layered, layered_dag(5, 8, seed=1),
+              _zero_some_weights(hard3, 1), _zero_some_weights(layered, 2)]
+    pairs = maps = zeros = 0
+    for c in map(pt.binarize, corpus):
+        deg, numbers, polys = c.degrees, _Expander(c), _Expander(c)
+        for u in range(len(c.nodes)):
+            if deg[u] < 2:
+                continue
+            got, want = numbers.numeric_adjoints(u, deg[u] - 1), polys.adjoints(u, deg[u] - 1)
+            assert got.keys() == want.keys()
+            for w, a in got.items():
+                if deg[w] == deg[u]:
+                    assert a.hex() == want[w].terms.get(0, 0.0).hex()
+                    continue
+                assert _hex_terms(a) == _hex_terms(want[w].terms)
+                maps, zeros = maps + 1, zeros + (not a)
+                if pairs < 2000 and (u + w) % 7 == 0 and all(map(math.isfinite, a.values())):
+                    pairs += 1
+                    assert _hex_terms(a) == _hex_terms(pt.partial_derivative(c, u, w).terms)
+    assert maps > 10000 and pairs > 500 and zeros > 0
+
+
+def test_gap_one_budget_error_names_the_pair(monkeypatch):
+    """A derivative at gap one past the cap names its pair, also when the
+    term map that fails is a co-factor's."""
+    monkeypatch.setenv("PC_TERM_BUDGET", "1")
+    with pytest.raises(TermBudgetExceeded,
+                       match="^derivative of node 86 by node 76 expands past 1 monomials$"):
+        pt.reduce_depth(pt.binarize(layered_dag(6, 2, 1)))
 
 
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
@@ -808,3 +868,35 @@ def test_report_serialization():
     assert csv[0] == "stage,nodes,edges,depth"
     assert csv[1].startswith("input,11,10,2")
     assert len(csv) == 1 + len(report.stages)
+
+
+def test_treeify_checks_its_input_once(small_corpus, monkeypatch):
+    """``treeify`` runs ``validity()`` once, in ``binarize``: its output is
+    binary, decomposable and smooth, and such a circuit is homogeneous,
+    since every node's structural degree is the size of its scope.  So the
+    reducer runs without a check of its own, and an invalid input raises
+    what ``binarize`` raises."""
+    from oracles import grow_nonsmooth_child
+
+    rng = random.Random(7)
+    for c, _ in small_corpus:
+        for variant in (c, grow_nonsmooth_child(c, rng)):
+            report = variant.validity()
+            assert report.homogeneous == report.ok
+            if report.ok:
+                assert all(d == len(variant.scope(v)) for v, d in enumerate(variant.degrees))
+    calls = []
+    validity = Circuit.validity
+    monkeypatch.setattr(Circuit, "validity", lambda self: calls.append(self) or validity(self))
+    for c in (pt.build_hard_instance(3), small_corpus[0][0], small_corpus[0][1]):
+        calls.clear()
+        pt.treeify(c)
+        assert calls == [c]
+    lopsided = build_circuit(2, [Leaf(0), Leaf(1), Product((0, 1)), Sum((0, 2), (1.0, 1.0))], 3)
+    squared = build_circuit(1, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.5, 0.5)),
+                                Product((2, 2))], 3)
+    for c, why in ((lopsided, "node 3: children with different scopes"),
+                   (squared, "node 3: children with overlapping scopes")):
+        with pytest.raises(InvalidInput, match=rf"^binarize requires a decomposable, smooth "
+                                               rf"circuit \({why}\)$"):
+            pt.treeify(c)
