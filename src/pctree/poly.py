@@ -11,12 +11,17 @@ Only multilinear polynomials are representable, matching what
 decomposable circuits can compute; multiplying two monomials that share
 a slot raises :class:`~pctree.errors.NotMultilinear`.
 
-:func:`extract_polynomial` keeps only what the root still needs: one walk
-over ``topo_order`` counts each node's parent edges and drops a node's
-polynomial once its last parent is built, and a sum whose first child is
-on its last use scales that child's term map in place instead of copying
-it.  Every sum adds its further children in place and drops zeros once,
-so the coefficients are the textbook left fold's, bit for bit.
+Every expansion works on plain ``{mask: coeff}`` term maps, with one
+multiply (:func:`_mul_terms`), one sum (:func:`_sum_terms`), one memo of
+node term maps and one reverse pass for partial derivatives
+(:class:`_Expander`); a :class:`SparsePolynomial` wraps a map only at
+the public boundary.  :func:`extract_polynomial` keeps only what the
+root still needs: one walk over ``topo_order`` counts each node's parent
+edges and drops a node's term map once its last parent is built, and a
+sum whose first child is on its last use scales that child's term map
+in place instead of copying it.  Every sum adds its further children in
+place and drops zeros once, so the coefficients are the textbook left
+fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import math
 import os
 import random
 from functools import cache
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .circuit import Circuit, Leaf, Product, Sum, _bits, slot
 from .errors import (
@@ -130,15 +135,8 @@ class SparsePolynomial:
         degs = {m.bit_count() for m in self.terms}
         return len(degs) <= 1
 
-    def _slots(self) -> int:
-        """Bitmask of every indicator slot some monomial uses."""
-        used = 0
-        for m in self.terms:
-            used |= m
-        return used
-
     def variables(self) -> frozenset[int]:
-        return frozenset(s // 2 for s in _bits(self._slots()))
+        return frozenset(s // 2 for s in _bits(_slots(self.terms)))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -158,19 +156,7 @@ class SparsePolynomial:
             m: p for m, c in self.terms.items() if (p := factor * c) != 0.0})
 
     def mul(self, other: "SparsePolynomial", max_terms: int | None = None) -> "SparsePolynomial":
-        # disjoint slots make every monomial product distinct: nothing
-        # accumulates, and only products that underflow to zero are dropped
-        if self._slots() & other._slots():
-            raise NotMultilinear("product would raise an indicator slot to a power above one")
-        out: dict[int, float] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c = c1 * c2
-                if c != 0.0:
-                    out[m1 | m2] = c
-            if max_terms is not None and len(out) > max_terms:
-                raise TermBudgetExceeded(f"product exceeds {max_terms} monomials")
-        return SparsePolynomial._of(self.num_vars, out)
+        return SparsePolynomial._of(self.num_vars, _mul_terms(self.terms, other.terms, max_terms))
 
     # -- queries --------------------------------------------------------------
 
@@ -204,6 +190,37 @@ class SparsePolynomial:
         return "\n".join(lines) + "\n"
 
 
+#: The :class:`NotMultilinear` message of a product whose factors share a slot.
+_SHARED_SLOT = "product would raise an indicator slot to a power above one"
+
+
+def _slots(terms: dict[int, float]) -> int:
+    """Bitmask of every indicator slot some monomial uses."""
+    used = 0
+    for m in terms:
+        used |= m
+    return used
+
+
+def _mul_terms(p: dict[int, float], q: dict[int, float],
+               max_terms: int | None = None) -> dict[int, float]:
+    """The term map of ``p`` times ``q``, past ``max_terms`` monomials a
+    :class:`TermBudgetExceeded`.  Disjoint slots make every monomial
+    product distinct: nothing accumulates, and only products that
+    underflow to zero are dropped."""
+    if _slots(p) & _slots(q):
+        raise NotMultilinear(_SHARED_SLOT)
+    out: dict[int, float] = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            c = c1 * c2
+            if c != 0.0:
+                out[m1 | m2] = c
+        if max_terms is not None and len(out) > max_terms:
+            raise TermBudgetExceeded(f"product exceeds {max_terms} monomials")
+    return out
+
+
 def _check_tol(tol: float) -> None:
     # math.isclose takes an infinite tolerance as "any two finite values
     # agree" and a NaN one silently as exact equality
@@ -233,11 +250,11 @@ def extract_polynomial(c: Circuit) -> SparsePolynomial:
     outgrows the monomial budget (:func:`term_budget`), so infeasible
     circuits fail loudly instead of exhausting memory; an overflowed
     coefficient raises :class:`NonFiniteValue` naming a node.  Each node's
-    polynomial is freed after its last parent (:meth:`_Expander.root`)."""
-    p = _Expander(c).root()
+    term map is freed after its last parent (:meth:`_Expander.root`)."""
+    p = SparsePolynomial._of(c.num_vars, _Expander(c).root())
     if p.is_finite():
         return p
-    # naming the first bad node takes every node's polynomial: expand again, keeping them
+    # naming the first bad node takes every node's term map: expand again, keeping them
     polys = _Expander(c)
     return polys.finite(polys.get(c.root), f"node {c.root}")
 
@@ -351,98 +368,60 @@ def _sum_terms(maps: list[dict[int, float]], weights: Sequence[float],
 
 
 class _Expander:
-    """Memoized exact node polynomials of one circuit, and the partial
+    """Memoized exact term maps of one circuit's nodes, and the partial
     derivatives of a node, expanded on demand under the :func:`term_budget`
-    cap.  Every product folds its unit monomial factors into one mask, then
-    multiplies the rest in order (:meth:`_product`); every sum adds into
-    one term map (:func:`_sum_terms`).  :meth:`get` keeps each polynomial
-    it expands, :meth:`root` only those some node still needs.  The
-    reducer makes no polynomial: :meth:`linear` gives a degree-one node's
-    term map, :meth:`numeric_adjoints` the derivatives at degree gap zero
-    as floats and at gap one as term maps."""
+    cap.  There is one memo and one forward rule (:meth:`_value`): every
+    product folds its unit monomial factors into one mask, then multiplies
+    the rest in order (:meth:`_product`); every sum adds into one term map
+    (:func:`_sum_terms`).  :meth:`get` keeps each term map it expands,
+    :meth:`root` only those some node still needs.  There is one reverse
+    pass (:meth:`adjoints`), whose derivatives are floats at the top
+    node's degree and term maps below it.  The oracle, the partial
+    derivatives and the reducer all read these; none makes a polynomial
+    object except through :meth:`finite`."""
 
     def __init__(self, c: Circuit):
         self.c = c
         self.cap = term_budget()
-        self.memo: dict[int, SparsePolynomial] = {}
-        self.term_maps: dict[int, dict[int, float]] = {}  # :meth:`linear`'s
+        self.memo: dict[int, dict[int, float]] = {}
         #: ``_below(c, v, floor)``, memoized: the reducer's adjoint passes,
         #: pivots and reach often ask for the same region
         self.below = cache(lambda v, floor: _below(c, v, floor))
 
-    def held(self, name: str, rule: Callable[[], SparsePolynomial]) -> SparsePolynomial:
-        """``rule()``, held to the cap: a result past it, a product inside
-        ``rule`` that outgrows it, or one that is not multilinear, raises an
-        error naming ``name``."""
-        try:
-            p = rule()
-        except TermBudgetExceeded:
-            p = None
-        except NotMultilinear as e:
-            raise NotMultilinear(f"{name}: {e}") from e
-        if p is None or len(p.terms) > self.cap:
-            raise TermBudgetExceeded(f"{name} expands past {self.cap} monomials")
-        return p
-
-    def finite(self, p: SparsePolynomial, name: str) -> SparsePolynomial:
-        """``p``, unless a coefficient is not finite: then
-        :class:`NonFiniteValue` names the first node in topological order
-        whose memoized polynomial has one, or else ``name``.  Inf and NaN
-        carry through every later sum and product, so results suffice."""
+    def finite(self, terms: dict[int, float], name: str) -> SparsePolynomial:
+        """The polynomial of ``terms``, unless a coefficient is not finite:
+        then :class:`NonFiniteValue` names the first node in topological
+        order whose memoized term map has one, or else ``name``.  Inf and
+        NaN carry through every later sum and product, so results suffice."""
+        p = SparsePolynomial._of(self.c.num_vars, terms)
         if p.is_finite():
             return p
         bad = (f"node {v}" for v in self.c.topo_order
-               if v in self.memo and not self.memo[v].is_finite())
+               if v in self.memo and not all(map(math.isfinite, self.memo[v].values())))
         raise NonFiniteValue(f"{next(bad, name)}: a coefficient is not finite")
 
-    def get(self, v: int) -> SparsePolynomial:
-        """``v``'s polynomial, with every node below it not memoized yet
-        (:meth:`_walk`), each held to the cap."""
-        return self._walk(v, self.memo, lambda u: self.held(f"node {u}", lambda: self._value(u)))
-
-    def linear(self, v: int) -> dict[int, float]:
-        """The term map of a degree-one node ``v``'s polynomial, memoized
-        apart from :meth:`get`'s with every node below it, all of degree
-        one: a leaf's indicator, a sum's fold (:func:`_sum_terms`, as in
-        :meth:`_value`), or a one-child product's lone factor.  No
-        polynomial object is made; a sum past the cap raises
-        :class:`TermBudgetExceeded` naming its node, as :meth:`get` does."""
-        return self._walk(v, self.term_maps, self._linear)
-
-    def _linear(self, u: int) -> dict[int, float]:
-        node, memo = self.c.nodes[u], self.term_maps
-        if isinstance(node, Leaf):
-            return {1 << slot(node.var, node.negated): 1.0}
-        if not isinstance(node, Sum):
-            return memo[node.children[0]]
-        terms = _sum_terms([memo[ch] for ch in node.children], node.weights)
-        if len(terms) > self.cap:
-            raise TermBudgetExceeded(f"node {u} expands past {self.cap} monomials")
-        return terms
-
-    def _walk(self, v: int, memo: dict, rule: Callable[[int], object]):
-        """``memo[v]``, after an iterative post-order walk has set
-        ``memo[u] = rule(u)`` for each node ``u`` below ``v`` not in
-        ``memo``, its children first."""
-        nodes = self.c.nodes
+    def get(self, v: int) -> dict[int, float]:
+        """``v``'s term map, after an iterative post-order walk has
+        memoized :meth:`_value` of each node below it not memoized yet,
+        its children first."""
+        nodes, memo = self.c.nodes, self.memo
         stack = [v]
         while stack:
             u = stack.pop()
             if u < 0:  # every child of ~u is memoized
                 u = ~u
-                memo[u] = rule(u)
+                memo[u] = self._value(u)
             elif u not in memo:  # a copy of u above ~u would close a cycle
                 stack.append(~u)
                 stack.extend([ch for ch in nodes[u].children if ch not in memo])
         return memo[v]
 
-    def root(self) -> SparsePolynomial:
-        """The root's polynomial by one walk over ``topo_order``, held to
-        the cap as :meth:`get` holds it, that drops a node's polynomial from
-        the memo once its last parent edge is used.  A sum whose first child
-        is on its last use takes over that child's terms, unless a one-child
-        product may share them (:meth:`_product` returns a lone factor
-        itself)."""
+    def root(self) -> dict[int, float]:
+        """The root's term map by one walk over ``topo_order`` that drops a
+        node's map from the memo once its last parent edge is used.  A sum
+        whose first child is on its last use takes over that child's terms,
+        unless a one-child product may share them (:meth:`_product` returns
+        a lone factor itself)."""
         c, memo = self.c, self.memo
         nodes = c.nodes
         uses = [0] * len(nodes)
@@ -454,27 +433,36 @@ class _Expander:
                 lent.update((u, node.children[0]))
         for u in c.topo_order:
             kids = nodes[u].children
-            spent = bool(kids) and uses[kids[0]] == 1 and kids[0] not in lent
-            memo[u] = self.held(f"node {u}", lambda: self._value(u, spent))
+            memo[u] = self._value(u, bool(kids) and uses[kids[0]] == 1 and kids[0] not in lent)
             for ch in kids:
                 uses[ch] -= 1
                 if not uses[ch]:
                     del memo[ch]
         return memo[c.root]
 
-    def _value(self, u: int, spent: bool = False) -> SparsePolynomial:
-        """``u``'s polynomial from its children's; ``spent`` lets a sum
+    def _value(self, u: int, spent: bool = False) -> dict[int, float]:
+        """``u``'s term map from its children's, held to the cap: a result
+        past it, a product that outgrows it, or one that is not
+        multilinear, raises an error naming ``u``.  ``spent`` lets a sum
         take over its first child's terms (:meth:`root` drops that child
         next)."""
-        node, n, memo = self.c.nodes[u], self.c.num_vars, self.memo
+        node, memo = self.c.nodes[u], self.memo
         if isinstance(node, Leaf):
-            return SparsePolynomial.indicator(n, node.var, node.negated)
-        if not isinstance(node, Sum):
-            return self._product([memo[ch] for ch in node.children])
-        return SparsePolynomial._of(n, _sum_terms([memo[ch].terms for ch in node.children],
-                                                  node.weights, spent))
+            return {1 << slot(node.var, node.negated): 1.0}
+        try:
+            if isinstance(node, Sum):
+                terms = _sum_terms([memo[ch] for ch in node.children], node.weights, spent)
+            else:
+                terms = self._product([memo[ch] for ch in node.children])
+        except TermBudgetExceeded:
+            terms = None
+        except NotMultilinear as e:
+            raise NotMultilinear(f"node {u}: {e}") from e
+        if terms is None or len(terms) > self.cap:
+            raise TermBudgetExceeded(f"node {u} expands past {self.cap} monomials")
+        return terms
 
-    def _product(self, factors: list[SparsePolynomial]) -> SparsePolynomial:
+    def _product(self, factors: list[dict[int, float]]) -> dict[int, float]:
         """Product of ``factors`` in their given order, except that each one
         that is a single monomial with coefficient exactly 1.0 (a leaf, say)
         is ORed into one mask first: multiplying by 1.0 is exact, so every
@@ -482,58 +470,32 @@ class _Expander:
         instead of once per leaf."""
         mask, rest = 0, []
         for f in factors:
-            if len(f.terms) == 1:
-                (m, coeff), = f.terms.items()
+            if len(f) == 1:
+                (m, coeff), = f.items()
                 if coeff == 1.0:
                     if mask & m:
-                        raise NotMultilinear(
-                            "product would raise an indicator slot to a power above one")
+                        raise NotMultilinear(_SHARED_SLOT)
                     mask |= m
                     continue
             rest.append(f)
         # an empty mask would only copy the first other factor
-        p = rest.pop(0) if rest and not mask else SparsePolynomial._of(self.c.num_vars, {mask: 1.0})
+        p = rest.pop(0) if rest and not mask else {mask: 1.0}
         for f in rest:
-            p = p.mul(f, max_terms=self.cap)
+            p = _mul_terms(p, f, self.cap)
         return p
 
-    def adjoints(self, u: int, floor: int) -> dict[int, SparsePolynomial]:
+    def adjoints(self, u: int, floor: int) -> dict[int, float | dict[int, float]]:
         """``d_w f(u)`` for every ``w`` in ``_below(c, u, floor)`` by one
         reverse pass (Baur and Strassen): from ``adj[u] = 1``, each node,
         once all of its parents there have passed theirs to it, passes
         ``weight * adj`` to each child there if a sum, and ``adj`` times the
-        other children's values if a product.  Each adjoint is held to the
-        cap; errors name no pair, which is the caller's to name."""
-        nodes, cap, region = self.c.nodes, self.cap, self.below(u, floor)
-        waiting = self._waiting(region)
-        adj, ready = {u: SparsePolynomial.constant(self.c.num_vars, 1.0)}, [u]
-        while ready:
-            v = ready.pop()
-            a = adj[v]
-            if len(a.terms) > cap:
-                raise TermBudgetExceeded(f"the adjoint of node {v} expands past {cap} monomials")
-            node = nodes[v]
-            for j, ch in enumerate(node.children):
-                if ch not in region:
-                    continue
-                if isinstance(node, Sum):
-                    part = a.scaled(node.weights[j])
-                else:
-                    part = self._product([a] + [self.get(other) for i, other
-                                                in enumerate(node.children) if i != j])
-                adj[ch] = adj[ch].add(part) if ch in adj else part
-                waiting[ch] -= 1
-                if not waiting[ch]:
-                    ready.append(ch)
-        return adj
-
-    def numeric_adjoints(self, u: int, floor: int) -> dict[int, float | dict[int, float]]:
-        """:meth:`adjoints` at ``floor`` ``deg u`` or, if homogeneous, ``deg u - 1``,
-        bit for bit by the same traversal and additions over numbers: a float
-        per node of ``u``'s degree, else a term map, whose ``(map, factor)``
-        parts are summed (:func:`_sum_terms`) and held to the cap once all
-        have come.  A product of ``u``'s degree passes ``a`` times its other
-        child's :meth:`linear` map; a zero ``a`` passes ``0.0`` or ``{}``, not ``inf * 0.0``."""
+        other children's term maps, ``adj`` first (:meth:`_product`), if a
+        product.  Below ``u`` only sums and one-child products keep the
+        degree, so an adjoint is a float at ``u``'s degree; below it, a term
+        map whose ``(map, factor)`` parts are summed (:func:`_sum_terms`) and
+        held to the cap once all have come.  A zero adjoint passes ``0.0``
+        or ``{}``, never ``inf * 0.0``.  Errors name no pair, which is the
+        caller's to name."""
         nodes, deg, cap = self.c.nodes, self.c.degrees, self.cap
         top, adj, ready = deg[u], {u: 1.0}, [u]
         waiting = self._waiting(self.below(u, floor))
@@ -551,9 +513,18 @@ class _Expander:
                     continue
                 if deg[ch] == top:  # and so is v's: floats
                     adj[ch] = adj.get(ch, 0.0) + (weights[j] * a if a else 0.0)
-                else:
-                    adj.setdefault(ch, []).append((self.linear(kids[1 - j]) if a else {}, a)
-                                                  if deg[v] == top else (a, weights[j]))
+                elif deg[v] == top and a and len(kids) == 2 and isinstance(node, Product):
+                    # _sum_terms scales the other child's map by a, each a * c
+                    # as _product([{0: a}, map]) would multiply it
+                    adj.setdefault(ch, []).append((self.get(kids[1 - j]), a))
+                else:  # a term map: a float a is the constant {0: a}
+                    am = a if deg[v] < top else {0: a} if a else {}
+                    if isinstance(node, Sum) or len(kids) == 1:
+                        part = (am, weights[j])
+                    else:
+                        part = (self._product([am] + [self.get(x) for i, x in enumerate(kids)
+                                                      if i != j]), 1.0)
+                    adj.setdefault(ch, []).append(part)
                 waiting[ch] -= 1
                 if not waiting[ch]:
                     ready.append(ch)

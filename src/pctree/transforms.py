@@ -27,11 +27,12 @@ not a one-child sum; multiplying by 1.0 is exact, so no weight changes.
 Only the gates the root's gate reaches are built, by one memoized
 recursion over gate keys from the root's value.  A key at degree gap at
 most one is built from plain numbers.  A degree-one value is an
-indicator leaf or an affine gate over the node's memoized term map.  A
-derivative is a constant at gap zero and an affine gate at gap one, read
-from one reverse pass down from ``u`` over floats and degree-one term
-maps that gives the derivatives by every node of ``deg(w)`` at once,
-memoized per ``(u, deg(w))``.  Any other key
+indicator leaf or an affine gate over the node's term map, from the one
+memo that the exact oracle also expands.  A derivative is a constant at
+gap zero and an affine gate at gap one, read from the reverse pass that
+:func:`partial_derivative` also reads: down from ``u``, with floats at
+``u``'s degree and term maps below it, it gives the derivatives by every
+node of ``deg(w)`` at once, memoized per ``(u, deg(w))``.  Any other key
 lists its summands (the frontier pivots below it and the three factor
 keys of each), builds each factor not built yet, last factor first, and
 then its own sum, so arena ids are children-first.  The pivots, and
@@ -59,6 +60,7 @@ from .errors import (
     NonFiniteValue,
     NotBinary,
     NotHomogeneous,
+    NotMultilinear,
     SizeBudgetExceeded,
     TermBudgetExceeded,
     ZeroWeightSum,
@@ -196,8 +198,9 @@ def normalize(c: Circuit) -> tuple[Circuit, float]:
 
 def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     """Exact partial derivative of ``v``'s polynomial with respect to the
-    polynomial of node ``w`` (zero when ``w`` is not below ``v``), by one
-    reverse pass down from ``v``; an error names the pair.  The pass forms
+    polynomial of node ``w`` (zero when ``w`` is not below ``v``), by the
+    reverse pass down from ``v`` that the reducer also reads
+    (``_Expander.adjoints``); an error names the pair.  The pass forms
     the co-factor of every node of degree at least ``deg(w)`` below ``v``,
     so a circuit that is not decomposable can raise :class:`NotMultilinear`
     even where the paths to ``w`` multiply no overlapping factors."""
@@ -205,9 +208,15 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
     polys, pair = _Expander(c), f"derivative of node {v} by node {w}"
-    zero = SparsePolynomial.zero(c.num_vars)
-    return polys.finite(polys.held(pair, lambda: polys.adjoints(v, c.degrees[w]).get(w, zero)),
-                        pair)
+    try:
+        d = polys.adjoints(v, c.degrees[w]).get(w, {})
+    except TermBudgetExceeded:
+        raise TermBudgetExceeded(f"{pair} expands past {polys.cap} monomials") from None
+    except NotMultilinear as e:
+        raise NotMultilinear(f"{pair}: {e}") from e
+    if isinstance(d, float):  # w has v's degree
+        d = {0: d} if d else {}
+    return polys.finite(d, pair)
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +303,14 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
     band construction and the gate recursion).  It makes no polynomial
-    object: a degree-one value is a term map (``_Expander.linear``), a
-    derivative at degree gap zero a float and at gap one a term map
-    (``_Expander.numeric_adjoints``).  A summand whose weight, the
-    product of its constant factors, is 0.0 is dropped, also when nonzero
-    factors underflow to it.  A gate weight that overflows raises
-    :class:`NonFiniteValue` naming the gate, and a root polynomial that
-    underflows to zero raises :class:`ZeroWeightSum` naming the root."""
+    object: a degree-one value is a term map from the one memo
+    (``_Expander.get``), and a derivative, read from the one reverse pass
+    (``_Expander.adjoints``), is a float at degree gap zero and a term map
+    at gap one.  A summand whose weight, the product of its constant
+    factors, is 0.0 is dropped, also when nonzero factors underflow to it.
+    A gate weight that overflows raises :class:`NonFiniteValue` naming the
+    gate, and a root polynomial that underflows to zero raises
+    :class:`ZeroWeightSum` naming the root."""
     _require_binary(circuit, "depth reduction requires fan-out <= 2; binarize first")
     report = circuit.validity()
     failed = [name for name in ("decomposable", "smooth", "homogeneous") if name in report.witnesses]
@@ -317,7 +327,7 @@ def _reduce(circuit: Circuit) -> Circuit:
     arena = _Arena()
     gates: dict[tuple[int, int | None], _Gate] = {}
     polys = _Expander(circuit)
-    adjoints = cache(polys.numeric_adjoints)
+    adjoints = cache(polys.adjoints)
     pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
 
     def gate(u: int, w: int | None) -> _Gate:
@@ -335,7 +345,7 @@ def _reduce(circuit: Circuit) -> Circuit:
                 node = circuit.nodes[u]
                 if isinstance(node, Leaf):
                     return arena.leaf(node.var, node.negated), 1.0
-                return arena.affine_gate((u, w), polys.linear(u))
+                return arena.affine_gate((u, w), polys.get(u))
             try:
                 a = adjoints(u, deg[w])[w]
             except TermBudgetExceeded:

@@ -656,12 +656,14 @@ def _hex_terms(terms: dict[int, float]) -> dict[int, str]:
 
 def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
     """The reducer's two base cases skip polynomial objects: a degree-one
-    node's value is a term map (``_Expander.linear``), a derivative at
-    degree gap zero a float (``_Expander.numeric_adjoints``).  Both equal,
-    bit for bit, the node polynomials and the polynomial reverse pass, on
-    one-child product wires inside gap-zero regions, repeated children,
-    zero weights, parts that cancel to 0.0, and an infinite weight under a
-    zero one (a zero adjoint passes 0.0: inf * 0.0 would be NaN)."""
+    node's value is a term map (``_Expander.get``), a derivative at
+    degree gap zero a float (``_Expander.adjoints``).  Both equal, bit for
+    bit, the textbook left folds and the reverse pass in polynomial
+    arithmetic over them, on one-child product wires inside gap-zero
+    regions, repeated children, zero weights, parts that cancel to 0.0,
+    and an infinite weight under a zero one (a zero adjoint passes 0.0:
+    inf * 0.0 would be NaN).  Below the top degree, a product of three
+    non-leaf factors multiplies the adjoint first, as the oracle does."""
     from pctree.poly import _Expander
 
     wires = build_circuit(2, [Leaf(0), Leaf(0, True), Sum((0, 1), (1.0, 0.0)),
@@ -672,7 +674,12 @@ def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
                          Sum((2,), (1.0,)), Sum((2,), (1.0,)), Sum((3, 4), (1.0, -1.0)),
                          Sum((2,), (math.inf,)), Sum((6,), (0.0,)), Product((5,)),
                          Sum((8, 7, 2, 2), (1.0, 1.0, 2.5, -2.5))], 9)
-    corpus = [wires, pt.binarize(wires), cancel, pt.binarize(pt.build_hard_instance(2))]
+    # three two-leaf sums under one product, under a sum of weight 1.7
+    three = build_circuit(3, [Leaf(0), Leaf(0, True), Sum((0, 1), (0.3, 0.7)),
+                              Leaf(1), Leaf(1, True), Sum((3, 4), (0.1, 0.9)),
+                              Leaf(2), Leaf(2, True), Sum((6, 7), (0.7, 0.3)),
+                              Product((2, 5, 8)), Sum((9,), (1.7,))], 10)
+    corpus = [wires, pt.binarize(wires), cancel, pt.binarize(pt.build_hard_instance(2)), three]
     for seed in range(6):  # shared DAGs with zero weights, as the pipeline test makes them
         dag = pt.random_valid_pc(pt.GenParams(n=8, seed=seed, reuse_prob=0.5))
         rng = random.Random(seed)
@@ -685,14 +692,13 @@ def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
         corpus.append(pt.binarize(build_circuit(dag.num_vars, nodes, dag.root)))
     seen_wire = seen_zero = False
     for c in corpus:
-        # node_polynomials' memoized walk, without its finiteness check
-        deg, polys, memoized = c.degrees, _Expander(c), _Expander(c)
+        # the expander's memoized walk, without node_polynomials' finiteness check
+        deg, polys = c.degrees, _Expander(c)
         folds = left_fold_polynomials(c)
         for u, node in enumerate(c.nodes):
             if deg[u] == 1:
-                assert (_hex_terms(polys.linear(u)) == _hex_terms(memoized.get(u).terms)
-                        == _hex_terms(folds[u].terms))
-            adjoints = polys.numeric_adjoints(u, deg[u])
+                assert _hex_terms(polys.get(u)) == _hex_terms(folds[u].terms)
+            adjoints = polys.adjoints(u, deg[u])
             want = reverse_pass_adjoints(c, u, deg[u], folds)
             assert adjoints.keys() == want.keys()
             for w, a in adjoints.items():
@@ -702,7 +708,13 @@ def test_reducer_base_cases_match_the_polynomial_expansions(monkeypatch):
                 seen_zero |= a == 0.0
             seen_wire |= isinstance(node, Product) and len(node.children) == 1 and len(adjoints) > 1
     assert seen_wire and seen_zero
-    linear = _Expander(cancel).linear
+    # each sum's co-factor is (1.7 * one other sum) * the last one; 1.7 times
+    # the product of the other two differs in the last bit in 6 of 12 terms
+    want = reverse_pass_adjoints(three, three.root, 1, left_fold_polynomials(three))
+    for w in range(len(three.nodes)):
+        assert (_hex_terms(pt.partial_derivative(three, three.root, w).terms)
+                == _hex_terms(want[w].terms)), w
+    linear = _Expander(cancel).get
     assert linear(5) == {} and _hex_terms(linear(9)) == {0b01: "nan", 0b10: "nan"}
     # a degree-one term map past the cap names its node, as every expansion does
     monkeypatch.setenv("PC_TERM_BUDGET", "1")
@@ -724,13 +736,14 @@ def _zero_some_weights(c: Circuit, seed: int) -> Circuit:
 
 
 def test_gap_one_derivatives_from_numbers_match_partial_derivative():
-    """The reducer's derivatives at degree gap one come from one reverse
-    pass over floats and term maps (``_Expander.numeric_adjoints``).  Each
-    equals, bit for bit, the polynomial pass that ``partial_derivative``
-    reads, and a sample of pairs equals ``partial_derivative`` itself,
-    also where zero weights make zero adjoints, through one-child product
-    wires at either degree, and where a zero adjoint meets an infinite
-    co-factor (it passes nothing: inf * 0.0 would be NaN)."""
+    """The reducer's derivatives at degree gap one come from the reverse
+    pass over floats and term maps (``_Expander.adjoints``) that
+    ``partial_derivative`` also reads.  Each equals, bit for bit, the
+    reverse pass in polynomial arithmetic over the textbook left folds,
+    and a sample of pairs equals ``partial_derivative`` itself, also where
+    zero weights make zero adjoints, through one-child product wires at
+    either degree, and where a zero adjoint meets an infinite co-factor
+    (it passes nothing: inf * 0.0 would be NaN)."""
     from pctree.poly import _Expander
 
     def wires(weights: tuple[float, float], top: tuple[float, float]) -> Circuit:
@@ -745,11 +758,12 @@ def test_gap_one_derivatives_from_numbers_match_partial_derivative():
               _zero_some_weights(hard3, 1), _zero_some_weights(layered, 2)]
     pairs = maps = zeros = 0
     for c in map(pt.binarize, corpus):
-        deg, numbers, polys = c.degrees, _Expander(c), _Expander(c)
+        deg, numbers, folds = c.degrees, _Expander(c), left_fold_polynomials(c)
         for u in range(len(c.nodes)):
             if deg[u] < 2:
                 continue
-            got, want = numbers.numeric_adjoints(u, deg[u] - 1), polys.adjoints(u, deg[u] - 1)
+            got = numbers.adjoints(u, deg[u] - 1)
+            want = reverse_pass_adjoints(c, u, deg[u] - 1, folds)
             assert got.keys() == want.keys()
             for w, a in got.items():
                 if deg[w] == deg[u]:
