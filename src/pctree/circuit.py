@@ -34,6 +34,7 @@ from .errors import (
     CycleDetected,
     DanglingChild,
     EmptyProductNode,
+    InvalidNode,
     MultipleRoots,
 )
 
@@ -64,15 +65,15 @@ class Sum:
 
     def __init__(self, children: Iterable[int], weights: Iterable[float]) -> None:
         # frozen: each field is set once, already converted
-        object.__setattr__(self, "children", tuple(children))
-        object.__setattr__(self, "weights", tuple(map(float, weights)))
+        _set_sum_children(self, tuple(children))
+        _set_sum_weights(self, tuple(map(float, weights)))
 
-    @classmethod
-    def _of(cls, children: tuple[int, ...], weights: tuple[float, ...]) -> "Sum":
+    @staticmethod
+    def _of(children: tuple[int, ...], weights: tuple[float, ...]) -> "Sum":
         """Adopt ``children`` and tuple ``weights`` of floats as they are."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "children", children)
-        object.__setattr__(s, "weights", weights)
+        s = object.__new__(Sum)
+        _set_sum_children(s, children)
+        _set_sum_weights(s, weights)
         return s
 
 
@@ -83,14 +84,31 @@ class Product:
     children: tuple[int, ...]
 
     def __init__(self, children: Iterable[int]) -> None:
-        object.__setattr__(self, "children", tuple(children))
+        _set_product_children(self, tuple(children))
 
+    @staticmethod
+    def _of(children: tuple[int, ...]) -> "Product":
+        """Adopt the tuple ``children`` as it is."""
+        p = object.__new__(Product)
+        _set_product_children(p, children)
+        return p
+
+
+# the slots' own setters, which frozen __setattr__ does not guard: a fast first set
+_set_sum_children, _set_sum_weights = Sum.children.__set__, Sum.weights.__set__
+_set_product_children = Product.children.__set__
 
 Node = Union[Leaf, Sum, Product]
 
 # evaluation plan run shapes: products and sums of two and of three
 # children, and of any other number (one-child sums join the n-ary sums)
 _PROD2, _PROD3, _PRODN, _SUM2, _SUM3, _SUMN = range(6)
+
+
+def _require_count(name: str, value: object, least: int) -> None:
+    """Raise :class:`ValueError` unless ``value`` is an int, not a bool, of at least ``least``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def _bits(mask: int) -> list[int]:
@@ -148,8 +166,7 @@ class Circuit:
 
     def __init__(self, num_vars: int, nodes: Iterable[Node], root: int):
         nodes = tuple(nodes)
-        if num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
+        _require_count("num_vars", num_vars, 1)
         if not nodes:
             raise ValueError("node table must be non-empty")
         n = len(nodes)
@@ -159,14 +176,21 @@ class Circuit:
         indegree = [0] * n
         for v, node in enumerate(nodes):
             if isinstance(node, Leaf):
-                if not 0 <= node.var < num_vars:
-                    raise DanglingChild(f"leaf {v}: variable {node.var} out of range")
+                var = node.var  # an int, not a bool; plain ints pass the first test
+                if (type(var) is not int and (not isinstance(var, int) or isinstance(var, bool))
+                        or type(node.negated) is not bool):
+                    raise InvalidNode(f"leaf {v}: var must be an int and negated a bool")
+                if not 0 <= var < num_vars:
+                    raise DanglingChild(f"leaf {v}: variable {var} out of range")
                 continue
             if isinstance(node, Sum):
                 if len(node.children) != len(node.weights):
                     raise BadWeights(f"sum {v}: {len(node.children)} children vs {len(node.weights)} weights")
                 if not node.children:
                     raise BadWeights(f"sum {v} has no children")
+            elif not isinstance(node, Product):
+                raise InvalidNode(f"table entry {v} is a {type(node).__name__}, "
+                                  f"not a Leaf, Sum or Product")
             elif not node.children:
                 raise EmptyProductNode(f"product {v} has no children")
             for ch in node.children:
@@ -512,9 +536,9 @@ def _renumber(nodes: Sequence[Node], keep: Sequence[bool]) -> tuple[list[Node], 
         node = nodes[v]
         if isinstance(node, Sum):
             pairs = [(remap[ch], w) for ch, w in zip(node.children, node.weights) if ch in remap]
-            node = Sum(tuple(ch for ch, _ in pairs), tuple(w for _, w in pairs))
+            node = Sum._of(tuple(ch for ch, _ in pairs), tuple(w for _, w in pairs))
         elif isinstance(node, Product):
-            node = Product(tuple(remap[ch] for ch in node.children if ch in remap))
+            node = Product._of(tuple(remap[ch] for ch in node.children if ch in remap))
         if not isinstance(node, Leaf) and not node.children:
             raise EmptyProductNode(f"{type(node).__name__.lower()} {v} would lose all children")
         out.append(node)

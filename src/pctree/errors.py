@@ -32,6 +32,11 @@ class EmptyProductNode(PCError):
     """A product node has, or would be left with, no children."""
 
 
+class InvalidNode(PCError):
+    """A node table entry is not a :class:`Leaf`, :class:`Sum` or
+    :class:`Product`, or a leaf's fields are not an int and a bool."""
+
+
 class AssignmentLengthMismatch(PCError):
     """An assignment does not provide one value per indicator slot."""
 

@@ -16,15 +16,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber, build_circuit
+from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber, _require_count, build_circuit
 from .errors import EmptyProductNode, KTooLarge
 
 
 def build_hard_instance(k: int) -> Circuit:
     """Tree PC over ``4**k`` variables with ``2*4**k - 1 + k*4**k`` nodes
     and depth ``2k``, unit sum weights, valid on all structural checks."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_count("k", k, 1)
     if k > 4:
         raise KTooLarge(f"k={k} means {4 ** k} variables; supported range is 1..4")
     n = 4 ** k
@@ -81,12 +80,10 @@ class GenParams:
     max_fanout: int = 3
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        _require_count("n", self.n, 2)
         if not 0.0 <= self.reuse_prob <= 1.0:
             raise ValueError("reuse_prob must lie in [0, 1]")
-        if self.max_fanout < 2:
-            raise ValueError("max_fanout must be >= 2")
+        _require_count("max_fanout", self.max_fanout, 2)
 
 
 def random_valid_pc(params: GenParams) -> Circuit:

@@ -32,7 +32,7 @@ import random
 from functools import cache
 from typing import Iterator, Sequence
 
-from .circuit import Circuit, Leaf, Product, Sum, _bits, slot
+from .circuit import Circuit, Leaf, Product, Sum, _bits, _require_count, slot
 from .errors import (
     AssignmentLengthMismatch,
     KTooLarge,
@@ -275,8 +275,7 @@ def random_equivalence(c1: Circuit, c2: Circuit, trials: int = 64, seed: int = 0
     """
     if c1.num_vars != c2.num_vars:
         raise VarCountMismatch(f"{c1.num_vars} vs {c2.num_vars} variables")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_count("trials", trials, 1)
     if c1.num_vars > _MAX_POINT_VARS:
         raise ValueError(f"{c1.num_vars} variables: points are drawn over at most {_MAX_POINT_VARS}")
     _check_tol(tol)
@@ -302,8 +301,7 @@ def pairing_polynomial(k: int) -> SparsePolynomial:
     degree ``2**k`` with ``2**(2**k - 1)`` unit-coefficient monomials
     remains.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    _require_count("k", k, 1)
     if k > 4:
         raise KTooLarge(f"k={k} would produce 2**{2 ** k - 1} monomials")
     n = 4 ** k
@@ -374,9 +372,10 @@ class _Expander:
     product folds its unit monomial factors into one mask, then multiplies
     the rest in order (:meth:`_product`); every sum adds into one term map
     (:func:`_sum_terms`).  :meth:`get` keeps each term map it expands,
-    :meth:`root` only those some node still needs.  There is one reverse
-    pass (:meth:`adjoints`), whose derivatives are floats at the top
-    node's degree and term maps below it.  The oracle, the partial
+    :meth:`degree_one` fills those of all degree-one nodes in one forward
+    pass, and :meth:`root` keeps only those some node still needs.  There
+    is one reverse pass (:meth:`adjoints`), whose derivatives are floats
+    at the top node's degree and term maps below it.  The oracle, the partial
     derivatives and the reducer all read these; none makes a polynomial
     object except through :meth:`finite`."""
 
@@ -416,6 +415,18 @@ class _Expander:
                 stack.extend([ch for ch in nodes[u].children if ch not in memo])
         return memo[v]
 
+    def degree_one(self) -> None:
+        """Memoize every degree-one node's term map by one pass over
+        ``topo_order`` up to the first that raises: :meth:`get` meets that
+        node, and raises, where a caller first needs its map."""
+        deg, memo, value = self.c.degrees, self.memo, self._value
+        try:
+            for u in self.c.topo_order:
+                if deg[u] == 1:
+                    memo[u] = value(u)
+        except (TermBudgetExceeded, NotMultilinear):
+            pass
+
     def root(self) -> dict[int, float]:
         """The root's term map by one walk over ``topo_order`` that drops a
         node's map from the memo once its last parent edge is used.  A sum
@@ -447,8 +458,8 @@ class _Expander:
         take over its first child's terms (:meth:`root` drops that child
         next)."""
         node, memo = self.c.nodes[u], self.memo
-        if isinstance(node, Leaf):
-            return {1 << slot(node.var, node.negated): 1.0}
+        if isinstance(node, Leaf):  # slot() inlined: leaves are most degree-one nodes
+            return {1 << (2 * node.var + node.negated): 1.0}
         try:
             if isinstance(node, Sum):
                 terms = _sum_terms([memo[ch] for ch in node.children], node.weights, spent)

@@ -112,7 +112,7 @@ def circuit_from_document(doc: Any) -> Circuit:
             except OverflowError:  # an integer beyond the float range
                 raise SchemaError(f"sum {nid}: a weight is too large for a float") from None
         else:
-            table[nid] = Product(tuple(children))
+            table[nid] = Product._of(tuple(children))
     if len(table) != len(records):
         raise SchemaError("node ids must be dense (0..len-1)")
     return build_circuit(num_vars, table.values(), root)

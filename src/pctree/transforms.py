@@ -28,22 +28,25 @@ Only the gates the root's gate reaches are built, by one memoized
 recursion over gate keys from the root's value.  A key at degree gap at
 most one is built from plain numbers.  A degree-one value is an
 indicator leaf or an affine gate over the node's term map, from the one
-memo that the exact oracle also expands.  A derivative is a constant at
-gap zero and an affine gate at gap one, read from the reverse pass that
-:func:`partial_derivative` also reads: down from ``u``, with floats at
-``u``'s degree and term maps below it, it gives the derivatives by every
-node of ``deg(w)`` at once, memoized per ``(u, deg(w))``.  Any other key
-lists its summands (the frontier pivots below it and the three factor
-keys of each), builds each factor not built yet, last factor first, and
-then its own sum, so arena ids are children-first.  The pivots, and
-whether a pivot's child reaches ``w``, come from the same degree-floored
-walk.  The recursion follows bands, not the input's depth: each nested
-key is in a lower band or is a value of at most half its caller's
-degree, so it nests O(log^2 d) calls for root degree ``d``; the walks
-over the input are iterative.  Constant folding happens while building,
-so a few gates may go unused; the final reachability pass drops them.
-The output depends only on the circuit's nodes and root, not on its
-``topo_order``.
+memo that the exact oracle also expands; one forward pass fills it for
+every degree-one node before the recursion starts.  A derivative is a
+constant at gap zero and an affine gate at gap one, read from the
+reverse pass that :func:`partial_derivative` also reads: down from
+``u``, with floats at ``u``'s degree and term maps below it, it gives
+the derivatives by every node of ``deg(w)`` at once, memoized per
+``(u, deg(w))``.  Any other key lists its summands (the frontier pivots
+below it and the three factor keys of each), builds each factor not
+built yet, last factor first, and then its own sum, so arena ids are
+children-first.  The pivots, and whether a pivot's child reaches ``w``,
+come from the same degree-floored walk; a product is a pivot at ``m``
+when ``heavy[t] <= m < deg[t]``, with its heavier child's degree stored
+once per node (:func:`_heavy`).  The recursion follows bands, not the
+input's depth: each nested key is in a lower band or is a value of at
+most half its caller's degree, so it nests O(log^2 d) calls for root
+degree ``d``; the walks over the input are iterative.  Constant folding
+happens while building, so a few gates may go unused; the final
+reachability pass drops them.  The output depends only on the circuit's
+nodes and root, not on its ``topo_order``.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber
+from .circuit import Circuit, Leaf, Node, Product, Sum, _renumber, _require_count
 from .errors import (
     DanglingChild,
     InvalidInput,
@@ -149,7 +152,7 @@ def binarize(c: Circuit) -> Circuit:
         tail, tail_weight = kids[-1], weights[-1]
         for j in range(len(kids) - 2, -1, -1):
             pair = (kids[j], tail)
-            link = Sum._of(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product(pair)
+            link = Sum._of(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product._of(pair)
             if j == 0:
                 nodes[v] = link
             else:
@@ -223,21 +226,26 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
 # degree frontier
 # ---------------------------------------------------------------------------
 
-def _pivots(c: Circuit, region: set[int], m: int) -> list[int]:
+def _heavy(c: Circuit) -> list[float]:
+    """Per node, its heavier child's degree if a product, else ``inf``: so
+    ``t`` straddles threshold ``m`` exactly when ``heavy[t] <= m < deg[t]``."""
+    deg = c.degrees.__getitem__
+    return [max(map(deg, node.children)) if isinstance(node, Product) else math.inf
+            for node in c.nodes]
+
+
+def _pivots(deg: tuple[int, ...], heavy: list[float], region: set[int], m: int) -> list[int]:
     """The products in ``region`` straddling threshold ``m``, ascending;
     ``_below(c, u, m + 1)`` holds all of those below ``u``."""
-    nodes, deg = c.nodes, c.degrees
-    return sorted(t for t in region if deg[t] > m and isinstance(nodes[t], Product)
-                  and max([deg[ch] for ch in nodes[t].children]) <= m)
+    return sorted([t for t in region if heavy[t] <= m < deg[t]])
 
 
 def degree_frontier(c: Circuit, m: int) -> FrontierSet:
     """All products straddling degree threshold ``m``: their own degree
     exceeds ``m`` while neither child's does."""
-    if m < 1:
-        raise ValueError("threshold m must be >= 1")
+    _require_count("threshold m", m, 1)
     _require_binary(c, "the degree frontier is defined for binary circuits")
-    return FrontierSet(m, frozenset(_pivots(c, _below(c, c.root, m + 1), m)))
+    return FrontierSet(m, frozenset(_pivots(c.degrees, _heavy(c), _below(c, c.root, m + 1), m)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,17 +266,18 @@ class _Arena:
 
     def __init__(self) -> None:
         self.entries: list[Node] = []
-        self._leaves: dict[tuple[int, bool], int] = {}
+        self._leaves: dict[int, int] = {}  # indicator slot -> its leaf
 
     def add(self, node: Node) -> int:
         self.entries.append(node)
         return len(self.entries) - 1
 
-    def leaf(self, var: int, negated: bool = False) -> int:
-        key = (var, negated)
-        if key not in self._leaves:
-            self._leaves[key] = self.add(Leaf(var, negated))
-        return self._leaves[key]
+    def leaf(self, s: int) -> int:
+        """The one leaf of indicator slot ``s``, added on first use."""
+        i = self._leaves.get(s)
+        if i is None:
+            i = self._leaves[s] = self.add(Leaf(s >> 1, bool(s & 1)))
+        return i
 
     def sum_(self, key: tuple[int, int | None], pairs: list[tuple[int, float]]) -> _Gate:
         """Gate ``key`` as the weighted sum of ``pairs``: the constant 0.0
@@ -288,14 +297,15 @@ class _Arena:
         term map: a constant (including the zero polynomial) is the gate
         ``(None, c)``, a linear form a :meth:`sum_` over the matching
         indicator leaves."""
-        if terms.keys() <= {0}:
+        if not terms or 0 in terms:
+            if len(terms) > 1:
+                raise NotHomogeneous("affine gate mixes a constant with linear terms")
             return None, terms.get(0, 0.0)
         pairs = []
         for m, coeff in sorted(terms.items()):
-            if m.bit_count() != 1:
+            if m & (m - 1):  # not a power of two: a monomial of degree two or more
                 raise NotHomogeneous("affine gate mixes a constant with linear terms")
-            s = m.bit_length() - 1
-            pairs.append((self.leaf(s // 2, bool(s % 2)), coeff))
+            pairs.append((self.leaf(m.bit_length() - 1), coeff))
         return self.sum_(key, pairs)
 
 
@@ -303,8 +313,10 @@ def reduce_depth(circuit: Circuit) -> Circuit:
     """Rebuild a binary valid circuit with the same polynomial and depth
     logarithmic in its root degree (see the module docstring for the
     band construction and the gate recursion).  It makes no polynomial
-    object: a degree-one value is a term map from the one memo
-    (``_Expander.get``), and a derivative, read from the one reverse pass
+    object: a degree-one value is a term map from the one memo, filled
+    by one forward pass before the recursion (``_Expander.degree_one``);
+    pivots come from one precomputed straddle test (:func:`_pivots`);
+    and a derivative, read from the one reverse pass
     (``_Expander.adjoints``), is a float at degree gap zero and a term map
     at gap one.  A summand whose weight, the product of its constant
     factors, is 0.0 is dropped, also when nonzero factors underflow to it.
@@ -327,8 +339,10 @@ def _reduce(circuit: Circuit) -> Circuit:
     arena = _Arena()
     gates: dict[tuple[int, int | None], _Gate] = {}
     polys = _Expander(circuit)
+    polys.degree_one()
     adjoints = cache(polys.adjoints)
-    pivots = cache(lambda u, m: _pivots(circuit, polys.below(u, m + 1), m))
+    heavy = _heavy(circuit)
+    pivots = cache(lambda u, m: _pivots(deg, heavy, polys.below(u, m + 1), m))
 
     def gate(u: int, w: int | None) -> _Gate:
         """Gate ``(u, w)``: ``f(u)`` when ``w`` is None, else ``d_w f(u)``.
@@ -344,7 +358,7 @@ def _reduce(circuit: Circuit) -> Circuit:
             if w is None:
                 node = circuit.nodes[u]
                 if isinstance(node, Leaf):
-                    return arena.leaf(node.var, node.negated), 1.0
+                    return arena.leaf(2 * node.var + node.negated), 1.0
                 return arena.affine_gate((u, w), polys.get(u))
             try:
                 a = adjoints(u, deg[w])[w]
@@ -378,7 +392,7 @@ def _reduce(circuit: Circuit) -> Circuit:
                 if child is not None:
                     kids.append(child)
             if scale != 0.0:
-                pairs.append((kids[0] if len(kids) == 1 else arena.add(Product(kids)), scale))
+                pairs.append((kids[0] if len(kids) == 1 else arena.add(Product._of(tuple(kids))), scale))
         return arena.sum_((u, w), pairs)
 
     try:
@@ -455,7 +469,7 @@ def duplicate_to_tree(c: Circuit) -> Circuit:
             base += size[ch]
             kids.append(base - 1)
         out[base] = (Sum._of(tuple(kids), node.weights) if isinstance(node, Sum)
-                     else Product(tuple(kids)))
+                     else Product._of(tuple(kids)))
     return Circuit(c.num_vars, out, total - 1)
 
 

@@ -12,6 +12,7 @@ from pctree.errors import (
     CycleDetected,
     DanglingChild,
     EmptyProductNode,
+    InvalidNode,
     MultipleRoots,
 )
 
@@ -31,6 +32,40 @@ def test_every_node_kind_has_children():
     assert Leaf(0).children == () and Leaf(3, True).children == ()
     assert [f.name for f in dataclasses.fields(Leaf)] == ["var", "negated"]
     assert Leaf(1, True) == Leaf(1, True) and hash(Leaf(1, True)) == hash(Leaf(1, True))
+
+
+def test_adopting_constructors_make_the_same_frozen_nodes():
+    """``Sum._of`` and ``Product._of`` set the slots directly, but their
+    nodes equal, hash like and are as frozen as constructor-made ones."""
+    pairs = [(Sum._of((0, 1), (0.25, 0.75)), Sum([0, 1], [0.25, 0.75])),
+             (Product._of((2, 3)), Product([2, 3]))]
+    for adopted, made in pairs:
+        assert adopted == made and hash(adopted) == hash(made) and repr(adopted) == repr(made)
+        assert type(adopted) is type(made)
+        assert dataclasses.fields(adopted) == dataclasses.fields(made)
+        for f in dataclasses.fields(made):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(adopted, f.name, ())
+        assert adopted == made
+    assert Sum._of((0,), (1.0,)) != Product._of((0,))
+
+
+def test_sizes_must_be_ints():
+    """A size that is not an int, bools included, is a ValueError up front,
+    not a TypeError from deep inside evaluation or generation."""
+    for bad in (2.5, True, 1.0, "2"):
+        with pytest.raises(ValueError, match="^num_vars must be an integer >= 1"):
+            Circuit(bad, [Leaf(0)], 0)
+
+
+def test_table_entries_must_be_nodes():
+    for bad in ((0,), None, 0, [Leaf(0)]):
+        with pytest.raises(InvalidNode, match="^table entry 1 is a "):
+            Circuit(1, [Leaf(0), bad], 1)
+    # a leaf's slot is 2 * var + negated: Leaf(0, 2) would read x_1's slot
+    for bad in (Leaf(0.0), Leaf(True), Leaf(0, 2), Leaf(0, 1), Leaf(0, None)):
+        with pytest.raises(InvalidNode, match="^leaf 0: var must be an int and negated a bool$"):
+            Circuit(2, [bad], 0)
 
 
 def test_self_loop_is_a_cycle():

@@ -168,3 +168,11 @@ def test_generator_parameter_validation():
         pt.GenParams(n=4, reuse_prob=1.5)
     with pytest.raises(ValueError):
         pt.GenParams(n=4, max_fanout=1)
+    # sizes that are not ints, bools included, fail here, not inside the generator
+    for bad in (4.5, True, 4.0):
+        with pytest.raises(ValueError, match="^n must be an integer >= 2"):
+            pt.GenParams(n=bad)
+        with pytest.raises(ValueError, match="^max_fanout must be an integer >= 2"):
+            pt.GenParams(n=4, max_fanout=bad)
+    with pytest.raises(ValueError, match="^k must be an integer >= 1"):
+        pt.build_hard_instance(2.5)

@@ -314,8 +314,8 @@ def test_random_equivalence():
     assert not pt.random_equivalence(c, mutated, trials=8, seed=1)
     with pytest.raises(VarCountMismatch):
         pt.random_equivalence(c, pt.random_valid_pc(pt.GenParams(n=4, seed=0)), trials=4, seed=0)
-    for trials in (0, -3):
-        with pytest.raises(ValueError, match="trials"):
+    for trials in (0, -3, 2.5, True):
+        with pytest.raises(ValueError, match="^trials must be an integer >= 1"):
             pt.random_equivalence(c, mutated, trials=trials)
 
 

@@ -786,6 +786,19 @@ def test_gap_one_budget_error_names_the_pair(monkeypatch):
         pt.reduce_depth(pt.binarize(layered_dag(6, 2, 1)))
 
 
+@pytest.mark.parametrize("n, node", [(16, 520), (32, 1776)])
+def test_degree_one_budget_error_names_the_node_the_walk_meets(monkeypatch, n, node):
+    """Every degree-one term map is filled by one forward pass before the
+    gate walk, which stops at the first node that raises (node 439 on
+    dag-16, 69 on dag-32) and leaves it to the walk: the error names the
+    node the walk meets first, as it did when each map was expanded on
+    demand."""
+    monkeypatch.setenv("PC_TERM_BUDGET", "1")
+    b = pt.binarize(pt.random_valid_pc(pt.GenParams(n=n, seed=1, reuse_prob=0.5)))
+    with pytest.raises(TermBudgetExceeded, match=f"^node {node} expands past 1 monomials$"):
+        pt.reduce_depth(b)
+
+
 @pytest.mark.parametrize("n", [4, 8, 16, 32])
 def test_treeify_depth_bound(n):
     c = pt.random_valid_pc(pt.GenParams(n=n, seed=0, reuse_prob=0.35))
@@ -838,6 +851,9 @@ def test_treeify_output_is_node_for_node_pinned(name):
     tree = pt.duplicate_to_tree(reduced)
     assert (table_hash(reduced), table_hash(tree)) == GOLDEN_HASHES[name]
     assert (len(reduced.nodes), reduced.stats().depth) == GOLDEN_SIZES[name]
+    # indicator leaves and affine gates share one leaf per slot
+    slots = [pt.circuit.slot(n.var, n.negated) for n in reduced.nodes if isinstance(n, Leaf)]
+    assert len(slots) == len(set(slots))
 
 
 def _reorder_corpus():
