@@ -84,14 +84,7 @@ class Product:
     children: tuple[int, ...]
 
     def __init__(self, children: Iterable[int]) -> None:
-        _set_product_children(self, tuple(children))
-
-    @staticmethod
-    def _of(children: tuple[int, ...]) -> "Product":
-        """Adopt the tuple ``children`` as it is."""
-        p = object.__new__(Product)
-        _set_product_children(p, children)
-        return p
+        _set_product_children(self, tuple(children))  # tuple() of a tuple is that tuple
 
 
 # the slots' own setters, which frozen __setattr__ does not guard: a fast first set
@@ -170,6 +163,8 @@ class Circuit:
         if not nodes:
             raise ValueError("node table must be non-empty")
         n = len(nodes)
+        if not isinstance(root, int) or isinstance(root, bool):
+            raise InvalidNode(f"root id {root!r} is not an int")
         if not 0 <= root < n:
             raise DanglingChild(f"root id {root} outside table of {n} nodes")
 
@@ -194,6 +189,8 @@ class Circuit:
             elif not node.children:
                 raise EmptyProductNode(f"product {v} has no children")
             for ch in node.children:
+                if type(ch) is not int and (not isinstance(ch, int) or isinstance(ch, bool)):
+                    raise InvalidNode(f"node {v}: child id {ch!r} is not an int")
                 if not 0 <= ch < n:
                     raise DanglingChild(f"node {v}: child {ch} out of range")
                 if ch == v:
@@ -538,7 +535,7 @@ def _renumber(nodes: Sequence[Node], keep: Sequence[bool]) -> tuple[list[Node], 
             pairs = [(remap[ch], w) for ch, w in zip(node.children, node.weights) if ch in remap]
             node = Sum._of(tuple(ch for ch, _ in pairs), tuple(w for _, w in pairs))
         elif isinstance(node, Product):
-            node = Product._of(tuple(remap[ch] for ch in node.children if ch in remap))
+            node = Product(remap[ch] for ch in node.children if ch in remap)
         if not isinstance(node, Leaf) and not node.children:
             raise EmptyProductNode(f"{type(node).__name__.lower()} {v} would lose all children")
         out.append(node)

@@ -30,7 +30,7 @@ import math
 import os
 import random
 from functools import cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .circuit import Circuit, Leaf, Product, Sum, _bits, _require_count, slot
 from .errors import (
@@ -155,8 +155,8 @@ class SparsePolynomial:
         return SparsePolynomial._of(self.num_vars, {
             m: p for m, c in self.terms.items() if (p := factor * c) != 0.0})
 
-    def mul(self, other: "SparsePolynomial", max_terms: int | None = None) -> "SparsePolynomial":
-        return SparsePolynomial._of(self.num_vars, _mul_terms(self.terms, other.terms, max_terms))
+    def mul(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        return SparsePolynomial._of(self.num_vars, _mul_terms(self.terms, other.terms))
 
     # -- queries --------------------------------------------------------------
 
@@ -431,20 +431,13 @@ class _Expander:
         """The root's term map by one walk over ``topo_order`` that drops a
         node's map from the memo once its last parent edge is used.  A sum
         whose first child is on its last use takes over that child's terms,
-        unless a one-child product may share them (:meth:`_product` returns
-        a lone factor itself)."""
+        which no other node holds (:meth:`_product` always makes a new map)."""
         c, memo = self.c, self.memo
         nodes = c.nodes
-        uses = [0] * len(nodes)
-        lent = set()
-        for u, node in enumerate(nodes):
-            for ch in node.children:
-                uses[ch] += 1
-            if len(node.children) == 1 and isinstance(node, Product):
-                lent.update((u, node.children[0]))
+        uses = self._waiting(range(len(nodes)))
         for u in c.topo_order:
             kids = nodes[u].children
-            memo[u] = self._value(u, bool(kids) and uses[kids[0]] == 1 and kids[0] not in lent)
+            memo[u] = self._value(u, bool(kids) and uses[kids[0]] == 1)
             for ch in kids:
                 uses[ch] -= 1
                 if not uses[ch]:
@@ -489,8 +482,8 @@ class _Expander:
                     mask |= m
                     continue
             rest.append(f)
-        # an empty mask would only copy the first other factor
-        p = rest.pop(0) if rest and not mask else {mask: 1.0}
+        # never a given map: a lone other factor is multiplied by {mask: 1.0}
+        p = rest.pop(0) if len(rest) > 1 and not mask else {mask: 1.0}
         for f in rest:
             p = _mul_terms(p, f, self.cap)
         return p
@@ -541,7 +534,7 @@ class _Expander:
                     ready.append(ch)
         return adj
 
-    def _waiting(self, region: set[int]) -> dict[int, int]:
+    def _waiting(self, region: Iterable[int]) -> dict[int, int]:
         """Per node of ``region``, its parent edges from inside it."""
         nodes = self.c.nodes
         waiting = dict.fromkeys(region, 0)

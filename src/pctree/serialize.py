@@ -112,7 +112,7 @@ def circuit_from_document(doc: Any) -> Circuit:
             except OverflowError:  # an integer beyond the float range
                 raise SchemaError(f"sum {nid}: a weight is too large for a float") from None
         else:
-            table[nid] = Product._of(tuple(children))
+            table[nid] = Product(children)
     if len(table) != len(records):
         raise SchemaError("node ids must be dense (0..len-1)")
     return build_circuit(num_vars, table.values(), root)
@@ -124,9 +124,8 @@ def _document_text(c: Circuit) -> str:
     lines = []
     for v, node in enumerate(c.nodes):
         if isinstance(node, Leaf):
-            var, neg = node.var, node.negated
-            lines.append(f'{{"id": {v}, "kind": "leaf", "var": {var if type(var) is int else _encode(var)}, '
-                         f'"negated": {"true" if neg is True else "false" if neg is False else _encode(neg)}}}')
+            lines.append(f'{{"id": {v}, "kind": "leaf", "var": {int(node.var)}, '
+                         f'"negated": {"true" if node.negated else "false"}}}')
         elif isinstance(node, Sum):
             lines.append(f'{{"id": {v}, "kind": "sum", "children": {_list_text(node.children)}, '
                          f'"weights": {_list_text(node.weights)}}}')

@@ -119,8 +119,8 @@ def stage_metrics(stage: str, c: Circuit) -> StageMetrics:
 
 def _require_binary(c: Circuit, message: str) -> None:
     """Raise :class:`NotBinary` naming the first node with over two children."""
-    if not c.is_binary():
-        v = next(v for v, node in enumerate(c.nodes) if len(node.children) > 2)
+    v = next((v for v, node in enumerate(c.nodes) if len(node.children) > 2), None)
+    if v is not None:
         raise NotBinary(f"{message} (node {v} has {len(c.nodes[v].children)} children)")
 
 
@@ -152,7 +152,7 @@ def binarize(c: Circuit) -> Circuit:
         tail, tail_weight = kids[-1], weights[-1]
         for j in range(len(kids) - 2, -1, -1):
             pair = (kids[j], tail)
-            link = Sum._of(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product._of(pair)
+            link = Sum._of(pair, (weights[j], tail_weight)) if isinstance(node, Sum) else Product(pair)
             if j == 0:
                 nodes[v] = link
             else:
@@ -208,6 +208,8 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     so a circuit that is not decomposable can raise :class:`NotMultilinear`
     even where the paths to ``w`` multiply no overlapping factors."""
     n = len(c.nodes)
+    if not all([isinstance(x, int) and not isinstance(x, bool) for x in (v, w)]):
+        raise ValueError(f"node ids must be ints, got ({v!r}, {w!r})")
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
     polys, pair = _Expander(c), f"derivative of node {v} by node {w}"
@@ -392,7 +394,7 @@ def _reduce(circuit: Circuit) -> Circuit:
                 if child is not None:
                     kids.append(child)
             if scale != 0.0:
-                pairs.append((kids[0] if len(kids) == 1 else arena.add(Product._of(tuple(kids))), scale))
+                pairs.append((kids[0] if len(kids) == 1 else arena.add(Product(kids)), scale))
         return arena.sum_((u, w), pairs)
 
     try:
@@ -468,8 +470,7 @@ def duplicate_to_tree(c: Circuit) -> Circuit:
             stack.append((ch, base))
             base += size[ch]
             kids.append(base - 1)
-        out[base] = (Sum._of(tuple(kids), node.weights) if isinstance(node, Sum)
-                     else Product._of(tuple(kids)))
+        out[base] = Sum._of(tuple(kids), node.weights) if isinstance(node, Sum) else Product(kids)
     return Circuit(c.num_vars, out, total - 1)
 
 

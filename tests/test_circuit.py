@@ -1,6 +1,8 @@
 import dataclasses
+import enum
 import math
 import random
+import re
 
 import pytest
 
@@ -35,19 +37,40 @@ def test_every_node_kind_has_children():
 
 
 def test_adopting_constructors_make_the_same_frozen_nodes():
-    """``Sum._of`` and ``Product._of`` set the slots directly, but their
-    nodes equal, hash like and are as frozen as constructor-made ones."""
-    pairs = [(Sum._of((0, 1), (0.25, 0.75)), Sum([0, 1], [0.25, 0.75])),
-             (Product._of((2, 3)), Product([2, 3]))]
-    for adopted, made in pairs:
-        assert adopted == made and hash(adopted) == hash(made) and repr(adopted) == repr(made)
-        assert type(adopted) is type(made)
-        assert dataclasses.fields(adopted) == dataclasses.fields(made)
-        for f in dataclasses.fields(made):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(adopted, f.name, ())
-        assert adopted == made
-    assert Sum._of((0,), (1.0,)) != Product._of((0,))
+    """``Sum._of`` sets the slots directly, but its nodes equal, hash like
+    and are as frozen as constructor-made ones."""
+    adopted, made = Sum._of((0, 1), (0.25, 0.75)), Sum([0, 1], [0.25, 0.75])
+    assert adopted == made and hash(adopted) == hash(made) and repr(adopted) == repr(made)
+    assert type(adopted) is type(made)
+    assert dataclasses.fields(adopted) == dataclasses.fields(made)
+    for f in dataclasses.fields(made):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(adopted, f.name, ())
+    assert adopted == made
+    assert Sum._of((0,), (1.0,)) != Product((0,))
+
+
+def test_product_keeps_a_tuple_of_children_as_it_is():
+    kids = (2, 3)
+    assert Product(kids).children is kids
+    assert Product([2, 3]).children == kids
+
+
+def test_node_ids_must_be_ints():
+    """A child or root id that is not an int, bools included, is an
+    :class:`InvalidNode` naming the node, not a bare ``TypeError``; a bool
+    would be written as ``false``, which the reader rejects."""
+    for bad in (0.0, "0", None, False, 1.5, math.nan, 1e300):
+        with pytest.raises(InvalidNode, match=f"^node 2: child id {re.escape(repr(bad))} is not an int$"):
+            Circuit(1, [Leaf(0), Leaf(0, True), Product((0, bad))], 2)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(InvalidNode, match="^root id .* is not an int$"):
+            Circuit(1, [Leaf(0), Leaf(0, True), Product((0, 1))], bad)
+    # an out-of-range int is still a dangling child, and an int subclass an id
+    with pytest.raises(DanglingChild, match="^node 1: child 2 out of range$"):
+        Circuit(1, [Leaf(0), Product((0, 2))], 1)
+    c = Circuit(1, [Leaf(0), Product((enum.IntEnum("Id", "A", start=0).A,))], 1)
+    assert c.evaluate([0.5, 1.0]) == 0.5
 
 
 def test_sizes_must_be_ints():

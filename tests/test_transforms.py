@@ -146,6 +146,10 @@ def test_derivative_base_cases():
     assert pt.partial_derivative(c, 0, 1).is_zero()
     with pytest.raises(DanglingChild):
         pt.partial_derivative(c, 0, 9)
+    # a node id that is not an int, bools included, is a ValueError, not a TypeError
+    for v, w in ((2, 0.0), ("2", 0), (2, False), (True, 0)):
+        with pytest.raises(ValueError, match="^node ids must be ints"):
+            pt.partial_derivative(c, v, w)
 
 
 def test_derivatives_read_no_ancestor_table():
