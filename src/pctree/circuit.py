@@ -24,7 +24,7 @@ instances are safe to share.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence, Union
 
@@ -91,6 +91,16 @@ class Product:
 _set_sum_children, _set_sum_weights = Sum.children.__set__, Sum.weights.__set__
 _set_product_children = Product.children.__set__
 
+
+def _refuse(self: object, name: str, *value: object) -> None:
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+# frozen=True's own refusals raise TypeError on 3.11 for a name that is not a field
+# (their super() names the class slots=True replaced), and it forbids these in the body
+for _kind in (Leaf, Sum, Product):
+    _kind.__setattr__ = _kind.__delattr__ = _refuse
+
 Node = Union[Leaf, Sum, Product]
 
 # evaluation plan run shapes: products and sums of two and of three
@@ -99,8 +109,8 @@ _PROD2, _PROD3, _PRODN, _SUM2, _SUM3, _SUMN = range(6)
 
 
 def _require_count(name: str, value: object, least: int) -> None:
-    """Raise :class:`ValueError` unless ``value`` is an int, not a bool, of at least ``least``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+    """Raise :class:`ValueError` unless ``value`` is an int of at least ``least``."""
+    if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
@@ -129,6 +139,7 @@ class ValidityReport:
     normalized: bool
     monotone: bool
     witnesses: dict[str, tuple[int, str]] = field(default_factory=dict)
+    FLAGS: ClassVar[tuple[str, ...]] = ("decomposable", "smooth", "homogeneous", "normalized", "monotone")
 
     @property
     def ok(self) -> bool:
@@ -163,7 +174,7 @@ class Circuit:
         if not nodes:
             raise ValueError("node table must be non-empty")
         n = len(nodes)
-        if not isinstance(root, int) or isinstance(root, bool):
+        if type(root) is not int:
             raise InvalidNode(f"root id {root!r} is not an int")
         if not 0 <= root < n:
             raise DanglingChild(f"root id {root} outside table of {n} nodes")
@@ -171,9 +182,8 @@ class Circuit:
         indegree = [0] * n
         for v, node in enumerate(nodes):
             if isinstance(node, Leaf):
-                var = node.var  # an int, not a bool; plain ints pass the first test
-                if (type(var) is not int and (not isinstance(var, int) or isinstance(var, bool))
-                        or type(node.negated) is not bool):
+                var = node.var
+                if type(var) is not int or type(node.negated) is not bool:
                     raise InvalidNode(f"leaf {v}: var must be an int and negated a bool")
                 if not 0 <= var < num_vars:
                     raise DanglingChild(f"leaf {v}: variable {var} out of range")
@@ -189,7 +199,7 @@ class Circuit:
             elif not node.children:
                 raise EmptyProductNode(f"product {v} has no children")
             for ch in node.children:
-                if type(ch) is not int and (not isinstance(ch, int) or isinstance(ch, bool)):
+                if type(ch) is not int:
                     raise InvalidNode(f"node {v}: child id {ch!r} is not an int")
                 if not 0 <= ch < n:
                     raise DanglingChild(f"node {v}: child {ch} out of range")
@@ -418,15 +428,8 @@ class Circuit:
         circuits; monotonicity by the syntactic condition that every sum
         weight is non-negative (NaN is not).
         """
-        flags = {"decomposable": True, "smooth": True, "homogeneous": True,
-                 "normalized": True, "monotone": True}
         witnesses: dict[str, tuple[int, str]] = {}
-
-        def fail(flag: str, v: int, why: str) -> None:
-            if flags[flag]:
-                flags[flag] = False
-                witnesses[flag] = (v, why)
-
+        fail = witnesses.setdefault  # keeps each flag's first violation
         nodes, scope, deg = self.nodes, self._scope_masks, self.degrees
         nonnegative = (0.0).__le__  # False on NaN
         for v in self.topo_order:
@@ -437,10 +440,10 @@ class Circuit:
             if isinstance(node, Sum):
                 weights = node.weights
                 if not all(map(nonnegative, weights)):
-                    fail("monotone", v, "negative or NaN edge weight")
+                    fail("monotone", (v, "negative or NaN edge weight"))
                 total = sum(weights)
                 if not math.isclose(total, 1.0, rel_tol=REL_TOL):
-                    fail("normalized", v, f"outgoing weights total {total!r}")
+                    fail("normalized", (v, f"outgoing weights total {total!r}"))
                 if len(kids) == 2:
                     a, b = kids
                     smooth, homogeneous = scope[a] == scope[b], deg[a] == deg[b]
@@ -448,20 +451,21 @@ class Circuit:
                     smooth = len({scope[ch] for ch in kids}) == 1
                     homogeneous = len({deg[ch] for ch in kids}) == 1
                 if not smooth:
-                    fail("smooth", v, "children with different scopes")
+                    fail("smooth", (v, "children with different scopes"))
                 if not homogeneous:
-                    fail("homogeneous", v, "children with different structural degrees")
+                    fail("homogeneous", (v, "children with different structural degrees"))
             elif len(kids) == 2:
                 a, b = kids
                 if scope[a] & scope[b]:
-                    fail("decomposable", v, "children with overlapping scopes")
+                    fail("decomposable", (v, "children with overlapping scopes"))
             else:
                 union = 0
                 for ch in kids:
                     if union & scope[ch]:
-                        fail("decomposable", v, "children with overlapping scopes")
+                        fail("decomposable", (v, "children with overlapping scopes"))
                     union |= scope[ch]
-        return ValidityReport(witnesses=witnesses, **flags)
+        return ValidityReport(**{flag: flag not in witnesses for flag in ValidityReport.FLAGS},
+                              witnesses=witnesses)
 
     def _shape(self) -> tuple[int, int, int]:
         """Edge count, root depth and largest fan-out, by one pass over

@@ -77,7 +77,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     report = read_circuit(args.in_path).validity()
-    for flag in ("decomposable", "smooth", "homogeneous", "normalized", "monotone"):
+    for flag in report.FLAGS:
         print(f"{flag}={_bool_text(getattr(report, flag))}")
     for flag, (node, why) in sorted(report.witnesses.items()):
         print(f"witness.{flag}=node {node}: {why}")

@@ -30,7 +30,7 @@ import math
 import os
 import random
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .circuit import Circuit, Leaf, Product, Sum, _bits, _require_count, slot
 from .errors import (
@@ -65,27 +65,16 @@ def term_budget() -> int:
 
 
 class SparsePolynomial:
-    """Canonical map from monomial bitmasks to nonzero coefficients."""
+    """Canonical map from monomial bitmasks to nonzero coefficients:
+    ``SparsePolynomial(num_vars, {mask: coeff})`` makes one (the zero
+    polynomial has no terms, a constant ``c`` is ``{0: c}``) and ``terms``
+    reads it."""
 
     __slots__ = ("num_vars", "terms")
 
     def __init__(self, num_vars: int, terms: dict[int, float] | None = None):
         self.num_vars = num_vars
         self.terms = {m: float(c) for m, c in (terms or {}).items() if c != 0.0}
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zero(cls, num_vars: int) -> "SparsePolynomial":
-        return cls(num_vars)
-
-    @classmethod
-    def constant(cls, num_vars: int, value: float) -> "SparsePolynomial":
-        return cls(num_vars, {0: value})
-
-    @classmethod
-    def indicator(cls, num_vars: int, var: int, negated: bool = False) -> "SparsePolynomial":
-        return cls(num_vars, {1 << slot(var, negated): 1.0})
 
     @classmethod
     def _of(cls, num_vars: int, terms: dict[int, float]) -> "SparsePolynomial":
@@ -98,9 +87,6 @@ class SparsePolynomial:
 
     # -- structure ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SparsePolynomial)
                 and self.num_vars == other.num_vars and self.terms == other.terms)
@@ -110,23 +96,10 @@ class SparsePolynomial:
     def __repr__(self) -> str:
         return f"SparsePolynomial(num_vars={self.num_vars}, terms={len(self.terms)})"
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_constant(self) -> bool:
-        return not self.terms or set(self.terms) == {0}
-
-    def constant_value(self) -> float:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get(0, 0.0)
-
     @property
     def degree(self) -> int:
         """Highest monomial degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(m.bit_count() for m in self.terms)
+        return max(map(int.bit_count, self.terms), default=-1)
 
     def is_finite(self) -> bool:
         return all(map(math.isfinite, self.terms.values()))
@@ -172,17 +145,13 @@ class SparsePolynomial:
             total += acc
         return total
 
-    def sorted_terms(self) -> Iterator[tuple[int, float]]:
-        """Terms ordered by ascending monomial bitmask."""
-        return iter(sorted(self.terms.items()))
-
     def to_text(self) -> str:
         """One term per line: ``coeff * x3 * ~x7``, 12 significant digits,
         sorted by monomial bitmask.  The zero polynomial prints as ``0``."""
         if not self.terms:
             return "0\n"
         lines = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items()):
             parts = [f"{c:.12g}"]
             for s in _bits(m):
                 parts.append(f"~x{s // 2}" if s % 2 else f"x{s // 2}")

@@ -47,18 +47,18 @@ def _list_text(values: tuple) -> str:
 
 def _expect_int(rec: dict, key: str, what: str) -> int:
     value = rec.get(key)
-    if not isinstance(value, int) or isinstance(value, bool):
+    if type(value) is not int:
         raise SchemaError(f"{what}: field '{key}' must be an integer")
     return value
 
 
-def _list_of(values: Any, plain: type, types: type | tuple[type, ...]) -> bool:
-    """Whether ``values`` is a list of ``types`` but not bools; fast on ``plain`` items."""
+def _list_of(values: Any, kind: type, other: type | None = None) -> bool:
+    """Whether ``values`` is a list of items whose type is ``kind`` or ``other``."""
     if not isinstance(values, list):
         return False
     for x in values:
-        if type(x) is not plain:
-            return all([isinstance(x, types) and not isinstance(x, bool) for x in values])
+        if type(x) is not kind and type(x) is not other:
+            return False
     return True
 
 
@@ -101,11 +101,11 @@ def circuit_from_document(doc: Any) -> Circuit:
             table[nid] = leaves.get(key) or leaves.setdefault(key, Leaf(var, negated))
             continue
         children = rec["children"]
-        if not _list_of(children, int, int):
+        if not _list_of(children, int):
             raise SchemaError(f"node {nid}: 'children' must be a list of integers")
         if kind == "sum":
             weights = rec["weights"]
-            if not _list_of(weights, float, (int, float)):
+            if not _list_of(weights, float, int):
                 raise SchemaError(f"sum {nid}: 'weights' must be a list of numbers")
             try:  # Sum converts every weight with float()
                 table[nid] = Sum(tuple(children), weights)
@@ -124,7 +124,7 @@ def _document_text(c: Circuit) -> str:
     lines = []
     for v, node in enumerate(c.nodes):
         if isinstance(node, Leaf):
-            lines.append(f'{{"id": {v}, "kind": "leaf", "var": {int(node.var)}, '
+            lines.append(f'{{"id": {v}, "kind": "leaf", "var": {node.var}, '
                          f'"negated": {"true" if node.negated else "false"}}}')
         elif isinstance(node, Sum):
             lines.append(f'{{"id": {v}, "kind": "sum", "children": {_list_text(node.children)}, '

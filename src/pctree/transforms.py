@@ -208,7 +208,7 @@ def partial_derivative(c: Circuit, v: int, w: int) -> SparsePolynomial:
     so a circuit that is not decomposable can raise :class:`NotMultilinear`
     even where the paths to ``w`` multiply no overlapping factors."""
     n = len(c.nodes)
-    if not all([isinstance(x, int) and not isinstance(x, bool) for x in (v, w)]):
+    if type(v) is not int or type(w) is not int:
         raise ValueError(f"node ids must be ints, got ({v!r}, {w!r})")
     if not 0 <= v < n or not 0 <= w < n:
         raise DanglingChild(f"node ids ({v}, {w}) outside table of {n} nodes")
@@ -295,18 +295,13 @@ class _Arena:
         return self.add(Sum._of(kids, weights)), 1.0
 
     def affine_gate(self, key: tuple[int, int | None], terms: dict[int, float]) -> _Gate:
-        """Realize gate ``key``'s polynomial of degree <= 1, given as its
-        term map: a constant (including the zero polynomial) is the gate
-        ``(None, c)``, a linear form a :meth:`sum_` over the matching
-        indicator leaves."""
-        if not terms or 0 in terms:
-            if len(terms) > 1:
-                raise NotHomogeneous("affine gate mixes a constant with linear terms")
-            return None, terms.get(0, 0.0)
+        """Realize gate ``key``'s linear form, given as its term map, as a
+        :meth:`sum_` over the matching indicator leaves; the empty map, a
+        form whose every coefficient underflowed, is the constant 0.0."""
         pairs = []
         for m, coeff in sorted(terms.items()):
-            if m & (m - 1):  # not a power of two: a monomial of degree two or more
-                raise NotHomogeneous("affine gate mixes a constant with linear terms")
+            if not m or m & (m - 1):  # the constant monomial, or one of degree two or more
+                raise NotHomogeneous(f"gate (node, wrt) = {key} has a term of degree other than one")
             pairs.append((self.leaf(m.bit_length() - 1), coeff))
         return self.sum_(key, pairs)
 

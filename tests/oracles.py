@@ -78,19 +78,19 @@ def left_fold_polynomials(c: Circuit, num_vars: int | None = None,
     by each child in order with ``SparsePolynomial.mul``.  ``fixed`` pins
     the polynomials of some nodes, over ``num_vars`` variables."""
     n = c.num_vars if num_vars is None else num_vars
-    polys: list[SparsePolynomial] = [SparsePolynomial.zero(n)] * len(c.nodes)
+    polys: list[SparsePolynomial] = [SparsePolynomial(n)] * len(c.nodes)
     for u in c.topo_order:
         node = c.nodes[u]
         if fixed and u in fixed:
             p = fixed[u]
         elif isinstance(node, Leaf):
-            p = SparsePolynomial.indicator(n, node.var, node.negated)
+            p = SparsePolynomial(n, {1 << slot(node.var, node.negated): 1.0})
         elif isinstance(node, Sum):
-            p = SparsePolynomial.zero(n)
+            p = SparsePolynomial(n)
             for ch, wt in zip(node.children, node.weights):
                 p = p.add(polys[ch], wt)
         else:
-            p = SparsePolynomial.constant(n, 1.0)
+            p = SparsePolynomial(n, {0: 1.0})
             for ch in node.children:
                 p = p.mul(polys[ch])
         polys[u] = p
@@ -122,12 +122,12 @@ def chain_rule_table(c: Circuit, polys: list[SparsePolynomial],
     """Derivatives of every ancestor of ``w`` by one bottom-up sweep of
     the sum/product chain rules.  Children come first in the sweep, so a
     node is an ancestor exactly when one of its children has an entry."""
-    table = {w: SparsePolynomial.constant(c.num_vars, 1.0)}
+    table = {w: SparsePolynomial(c.num_vars, {0: 1.0})}
     for v in c.topo_order:
         node = c.nodes[v]
         if v == w or not any(ch in table for ch in node.children):
             continue
-        p = SparsePolynomial.zero(c.num_vars)
+        p = SparsePolynomial(c.num_vars)
         if isinstance(node, Sum):
             for ch, wt in zip(node.children, node.weights):
                 if ch in table:
@@ -166,7 +166,7 @@ def reverse_pass_adjoints(c: Circuit, u: int, floor: int,
         for ch in c.nodes[v].children:
             if ch in region:
                 waiting[ch] += 1
-    adj = {u: SparsePolynomial.constant(c.num_vars, 1.0)}
+    adj = {u: SparsePolynomial(c.num_vars, {0: 1.0})}
     ready = [u]
     while ready:
         v = ready.pop()

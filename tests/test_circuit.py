@@ -50,6 +50,18 @@ def test_adopting_constructors_make_the_same_frozen_nodes():
     assert Sum._of((0,), (1.0,)) != Product((0,))
 
 
+def test_nodes_refuse_every_name_set_or_deleted():
+    """Setting or deleting a field or any other name is a
+    FrozenInstanceError, not the TypeError of frozen slots classes on 3.11."""
+    for node in (Leaf(0), Sum((0,), (1.0,)), Sum._of((0,), (1.0,)), Product((0,))):
+        for name in ("children", "foo"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+                setattr(node, name, ())
+            with pytest.raises(dataclasses.FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+                delattr(node, name)
+    assert Sum((0,), (1.0,)).children == (0,)
+
+
 def test_product_keeps_a_tuple_of_children_as_it_is():
     kids = (2, 3)
     assert Product(kids).children is kids
@@ -57,24 +69,32 @@ def test_product_keeps_a_tuple_of_children_as_it_is():
 
 
 def test_node_ids_must_be_ints():
-    """A child or root id that is not an int, bools included, is an
-    :class:`InvalidNode` naming the node, not a bare ``TypeError``; a bool
-    would be written as ``false``, which the reader rejects."""
+    """A child or root id that is not a plain int, bools and other int
+    subclasses included, is an :class:`InvalidNode` naming the node, not a
+    bare ``TypeError``; a bool would be written as ``false``, which the
+    reader rejects."""
     for bad in (0.0, "0", None, False, 1.5, math.nan, 1e300):
         with pytest.raises(InvalidNode, match=f"^node 2: child id {re.escape(repr(bad))} is not an int$"):
             Circuit(1, [Leaf(0), Leaf(0, True), Product((0, bad))], 2)
     for bad in (2.0, True, "2"):
         with pytest.raises(InvalidNode, match="^root id .* is not an int$"):
             Circuit(1, [Leaf(0), Leaf(0, True), Product((0, 1))], bad)
-    # an out-of-range int is still a dangling child, and an int subclass an id
+    # an out-of-range int is still a dangling child; an int subclass is no id
     with pytest.raises(DanglingChild, match="^node 1: child 2 out of range$"):
         Circuit(1, [Leaf(0), Product((0, 2))], 1)
-    c = Circuit(1, [Leaf(0), Product((enum.IntEnum("Id", "A", start=0).A,))], 1)
-    assert c.evaluate([0.5, 1.0]) == 0.5
+    a = enum.IntEnum("Id", "A", start=0).A
+    with pytest.raises(InvalidNode, match=f"^node 1: child id {re.escape(repr(a))} is not an int$"):
+        Circuit(1, [Leaf(0), Product((a,))], 1)
+    with pytest.raises(InvalidNode, match="^root id .* is not an int$"):
+        Circuit(1, [Leaf(0)], a)
+    with pytest.raises(InvalidNode, match="^leaf 0: var must be an int and negated a bool$"):
+        Circuit(1, [Leaf(a)], 0)
+    with pytest.raises(ValueError, match="^num_vars must be an integer >= 1"):
+        Circuit(enum.IntEnum("Size", "ONE").ONE, [Leaf(0)], 0)
 
 
 def test_sizes_must_be_ints():
-    """A size that is not an int, bools included, is a ValueError up front,
+    """A size that is not a plain int, bools included, is a ValueError up front,
     not a TypeError from deep inside evaluation or generation."""
     for bad in (2.5, True, 1.0, "2"):
         with pytest.raises(ValueError, match="^num_vars must be an integer >= 1"):

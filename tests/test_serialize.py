@@ -209,6 +209,10 @@ def _edit(path, value):
     (_edit(("nodes", 4, "children"), [0, True, 5, 6]), "node 4: 'children' must be a list of integers"),
     (_edit(("nodes", 10, "weights"), [1.0, False]), "sum 10: 'weights' must be a list of numbers"),
     (_edit(("nodes", 10, "weights"), [1.0, "1"]), "sum 10: 'weights' must be a list of numbers"),
+    pytest.param(_edit(("nodes", 4, "children"), 5), "node 4: 'children' must be a list of integers",
+                 id="children-not-a-list"),
+    pytest.param(_edit(("nodes", 10, "weights"), "1.0"), "sum 10: 'weights' must be a list of numbers",
+                 id="weights-not-a-list"),
     (_edit(("nodes", 5, "id"), 5.0), "leaf node: field 'id' must be an integer"),
     (_edit(("nodes", 5, "id"), True), "leaf node: field 'id' must be an integer"),
     (_edit(("nodes", 5, "id"), -1), r"node ids must be dense \(0..len-1\)"),
@@ -228,13 +232,22 @@ def test_record_faults(edit, message):
         circuit_from_document(doc)
 
 
-def test_slow_checks_accept_int_subclasses_and_int_weights():
+def test_int_subclasses_are_rejected_as_bools_are_and_int_weights_accepted():
+    """An id, variable, size or child is a plain int: an int subclass is
+    refused with a bool's message.  A weight may be an int or a float."""
     class Id(int):
         pass
 
+    for edit, message in [
+            (_edit(("nodes", 4, "children"), [Id(0), 1, 5, 6]), "node 4: 'children' must be a list of integers"),
+            (_edit(("nodes", 4, "id"), Id(4)), "product node: field 'id' must be an integer"),
+            (_edit(("nodes", 5, "var"), Id(2)), "leaf 5: field 'var' must be an integer"),
+            (_edit(("num_vars",), Id(4)), "document: field 'num_vars' must be an integer")]:
+        doc = json.loads(HARD_K1_DOCUMENT)
+        edit(doc)
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            circuit_from_document(doc)
     doc = json.loads(HARD_K1_DOCUMENT)
-    doc["nodes"][4].update(id=Id(4), children=[Id(0), 1, 5, 6])
-    doc["nodes"][5]["var"] = Id(2)
     doc["nodes"][10]["weights"] = [1, 1.0]
     c = circuit_from_document(doc)
     assert c.nodes == circuit_from_document(json.loads(HARD_K1_DOCUMENT)).nodes
