@@ -207,9 +207,14 @@ def poly_equal(p: SparsePolynomial, q: SparsePolynomial, tol: float = 0.0) -> bo
         raise VarCountMismatch(f"{p.num_vars} vs {q.num_vars} variables")
     if p.terms == q.terms and p.is_finite():
         return True
-    if p.terms.keys() != q.terms.keys():
+    other = q.terms
+    if len(p.terms) != len(other):
         return False
-    return all(math.isclose(q.terms[m], c, rel_tol=tol) for m, c in p.terms.items())
+    for m, c in p.terms.items():
+        d = other.get(m)
+        if d is None or not math.isclose(d, c, rel_tol=tol):
+            return False
+    return True
 
 
 def extract_polynomial(c: Circuit) -> SparsePolynomial:

@@ -290,6 +290,25 @@ def test_poly_equal_takes_no_nan_as_equal():
     assert pt.poly_equal(inf, SparsePolynomial(1, {mono((0, False)): math.inf}))
 
 
+def test_poly_equal_term_by_term_verdicts():
+    """The tolerance path compares lengths, then looks each term up: a
+    missing or extra term, or a NaN coefficient, is unequal at every
+    tolerance, and ``tol=0`` asks for equal coefficients."""
+    x, y, nx = mono((0, False)), mono((1, False)), mono((0, True))
+    p = SparsePolynomial(2, {x: 1.0, y: 2.0})
+    close = SparsePolynomial(2, {x: 1.0 + 1e-12, y: 2.0})
+    missing = SparsePolynomial(2, {x: 1.0 + 1e-12})
+    swapped = SparsePolynomial(2, {x: 1.0 + 1e-12, nx: 2.0})
+    extra = SparsePolynomial(2, {x: 1.0 + 1e-12, y: 2.0, nx: 3.0})
+    nan = SparsePolynomial(2, {x: math.nan, y: 2.0})
+    for tol in (0.0, 1e-9, 0.5):
+        for q in (missing, swapped, extra, nan):
+            assert not pt.poly_equal(p, q, tol) and not pt.poly_equal(q, p, tol)
+    assert pt.poly_equal(p, close, 1e-9) and pt.poly_equal(close, p, 1e-9)
+    assert not pt.poly_equal(p, close, 0.0) and not pt.poly_equal(close, p, 0.0)
+    assert pt.poly_equal(p, SparsePolynomial(2, {y: 2.0, x: 1.0}), 0.0)
+
+
 def test_poly_equal_is_an_equivalence_at_zero_tolerance():
     polys = [
         SparsePolynomial(2, {mono((0, False)): 0.5}),

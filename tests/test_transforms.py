@@ -324,7 +324,7 @@ def _pass_throughs(c: Circuit) -> list[int]:
 
 def test_reduce_depth_preserves_polynomial_and_validity(small_corpus):
     """The reduced circuit is valid, has the input's polynomial and no
-    pass-through node; hard-k reduces to depth 2k + 1."""
+    pass-through node; hard-k reduces to depth 2k."""
     inputs = [b for _, b in small_corpus] + [pt.binarize(layered_dag(8, 4, seed=1))]
     inputs += [pt.binarize(pt.build_hard_instance(k)) for k in (1, 2, 3)]
     depths = []
@@ -335,7 +335,31 @@ def test_reduce_depth_preserves_polynomial_and_validity(small_corpus):
         assert report.decomposable and report.smooth and report.homogeneous
         assert _pass_throughs(out) == []
         depths.append(out.stats().depth)
-    assert depths[-3:] == [3, 5, 7]
+    assert depths[-3:] == [2, 4, 6]
+
+
+def test_reduced_products_have_no_product_child(small_corpus):
+    """The reducer splices a product factor's children into the summand
+    product that uses it, so no product of the output has a product
+    child and the polynomial is the input's; hard-k's tree then has the
+    input tree's node count and its depth 2k."""
+    hard3 = pt.build_hard_instance(3)
+    rng = random.Random(5)
+    reweighted = build_circuit(hard3.num_vars, [
+        Sum(node.children, [rng.uniform(0.2, 0.9) for _ in node.children])
+        if isinstance(node, Sum) else node for node in hard3.nodes], hard3.root)
+    inputs = [c for c, _ in small_corpus] + [layered_dag(8, 4, seed=1), reweighted]
+    for k in (1, 2, 3, 4):
+        c = pt.build_hard_instance(k)
+        tree, _ = pt.treeify(c)
+        assert (len(tree.nodes), tree.stats().depth) == (len(c.nodes), 2 * k)
+        inputs.append(c)
+    for c in inputs:
+        out = pt.reduce_depth(pt.binarize(c))
+        nested = [(v, ch) for v, node in enumerate(out.nodes) if isinstance(node, Product)
+                  for ch in node.children if isinstance(out.nodes[ch], Product)]
+        assert nested == []
+        assert pt.poly_equal(pt.extract_polynomial(c), pt.extract_polynomial(out), 1e-9)
 
 
 def test_reduce_depth_is_logarithmic(small_corpus):
@@ -435,7 +459,7 @@ def test_reduce_depth_recursion_follows_bands_not_input_depth(name):
         reduced = pt.reduce_depth(b)
     finally:
         sys.setrecursionlimit(limit)
-    assert len(reduced.nodes) == {"hard-4": 1379, "dag-48": 6746}[name]
+    assert len(reduced.nodes) == {"hard-4": 767, "dag-48": 6746}[name]
 
 
 def test_reduce_depth_leaves_no_reference_cycle():
@@ -832,16 +856,16 @@ GOLDEN_HASHES = {  # input: (reduce_depth output, treeify output before normaliz
                "9dfe40e94c083b31c6b5879e1a9460e82c0c397cdc9cbe0123466aec2cb57d9c"),
     "dag-48": ("e521bb27d16a4c04003fc74e72ff13051ab4dce84a4d599cfe437aae77c6c720",
                "718d75809504645641e3b7807d1414fbeac7140d3415c2f336fced0025ebe2d4"),
-    "hard-3": ("d7239ee6251e5b596038f59d351d5aeff727e571f65a1b00fbf48aabe7faa87f",
-               "2d133ac618124208a049ec1986fca927d98aabd9a659f925d6ffc214e39af099"),
-    "hard-4": ("0ce4d9047451ae086b461d783b41328a4ed31f024e666bd45f7a1072a377c2d1",
-               "00055fb87dbfb2fc518107d695cdef90cb82dde96c783dc5cb6f705ab0389af9"),
+    "hard-3": ("fe48347f22f9066490bc98cefcba1016097cbb32f7fcb9dd89fad37879752498",
+               "dabc576891ebcfc9d845d612b1fa7b7d16f641a7bd69bc5bfa6cbdf6654aa431"),
+    "hard-4": ("a64f712c52e12ed9fb6582f5ea6e258a22ae37fb8c963de245de66f859384b3b",
+               "a2cb10e27a5138a5b908ec192f3a8c99b57cab1101491bf55d9fb8a34c9ddb59"),
     "layered-8-4": ("d965019270af3001df0f0ac1c1eaf55e38282f1504392fa7a1d4953487e843d1",
                     "c7c5f98b781d810f81713eb4184f859f45702742462fa62d7f4f9df0138710c0"),
 }
 GOLDEN_SIZES = {  # input: (reduce_depth output's node count, its depth)
-    "dag-16": (557, 9), "dag-32": (2148, 11), "dag-48": (6746, 13), "hard-3": (303, 7),
-    "hard-4": (1379, 9), "layered-8-4": (721, 7),
+    "dag-16": (557, 9), "dag-32": (2148, 11), "dag-48": (6746, 13), "hard-3": (191, 6),
+    "hard-4": (767, 8), "layered-8-4": (721, 7),
 }
 
 
