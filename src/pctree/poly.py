@@ -17,11 +17,13 @@ node term maps and one reverse pass for partial derivatives
 (:class:`_Expander`); a :class:`SparsePolynomial` wraps a map only at
 the public boundary.  :func:`extract_polynomial` keeps only what the
 root still needs: one walk over ``topo_order`` counts each node's parent
-edges and drops a node's term map once its last parent is built, and a
-sum whose first child is on its last use scales that child's term map
-in place instead of copying it.  Every sum adds its further children in
-place and drops zeros once, so the coefficients are the textbook left
-fold's, bit for bit.
+edges and drops a node's term map once its last parent is built, a sum
+whose first child is on its last use scales that child's term map in
+place instead of copying it, and a product whose one parent edge comes
+from a sum never builds its map: the sum multiplies the product's last
+two factors straight into its own terms.  Every sum adds its further
+children in place and drops zeros once, so the coefficients are the
+textbook left fold's, bit for bit.
 """
 
 from __future__ import annotations
@@ -125,8 +127,10 @@ class SparsePolynomial:
         return SparsePolynomial._of(self.num_vars, out)
 
     def scaled(self, factor: float) -> "SparsePolynomial":
-        return SparsePolynomial._of(self.num_vars, {
-            m: p for m, c in self.terms.items() if (p := factor * c) != 0.0})
+        out = dict(self.terms)  # keeps the stored hashes and needs no regrowth
+        for m, c in out.items():
+            out[m] = factor * c
+        return SparsePolynomial._of(self.num_vars, _drop_zeros(out))
 
     def mul(self, other: "SparsePolynomial") -> "SparsePolynomial":
         return SparsePolynomial._of(self.num_vars, _mul_terms(self.terms, other.terms))
@@ -171,14 +175,17 @@ def _slots(terms: dict[int, float]) -> int:
     return used
 
 
-def _mul_terms(p: dict[int, float], q: dict[int, float],
-               max_terms: int | None = None) -> dict[int, float]:
+def _mul_terms(p: dict[int, float], q: dict[int, float], max_terms: int | None = None,
+               pending: bool = False) -> dict[int, float] | tuple:
     """The term map of ``p`` times ``q``, past ``max_terms`` monomials a
     :class:`TermBudgetExceeded`.  Disjoint slots make every monomial
     product distinct: nothing accumulates, and only products that
-    underflow to zero are dropped."""
+    underflow to zero are dropped.  With ``pending``, a product of at most
+    ``max_terms`` monomial pairs stays ``(p, q)`` for :func:`_sum_terms`."""
     if _slots(p) & _slots(q):
         raise NotMultilinear(_SHARED_SLOT)
+    if pending and len(p) * len(q) <= max_terms:
+        return p, q
     out: dict[int, float] = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -224,7 +231,8 @@ def extract_polynomial(c: Circuit) -> SparsePolynomial:
     outgrows the monomial budget (:func:`term_budget`), so infeasible
     circuits fail loudly instead of exhausting memory; an overflowed
     coefficient raises :class:`NonFiniteValue` naming a node.  Each node's
-    term map is freed after its last parent (:meth:`_Expander.root`)."""
+    term map is freed after its last parent, and a product that only a
+    sum reads is multiplied straight into that sum (:meth:`_Expander.root`)."""
     p = SparsePolynomial._of(c.num_vars, _Expander(c).root())
     if p.is_finite():
         return p
@@ -314,28 +322,48 @@ def _below(c: Circuit, v: int, floor: int) -> set[int]:
     return seen
 
 
-def _sum_terms(maps: list[dict[int, float]], weights: Sequence[float],
+def _sum_terms(parts: list, weights: Sequence[float],
                spent: bool = False) -> dict[int, float]:
-    """The term map of ``sum(w * m for m, w in zip(maps, weights))``:
-    the first map scaled, then each further one added into it, with
+    """The term map of ``sum(w * m for m, w in zip(parts, weights))``:
+    the first part scaled, then each further one added into it, with
     zeros dropped once, at the end.  ``w * c`` and the textbook left
     fold's ``0.0 + w * c`` differ only in a zero's sign, and adding a zero
     to a nonzero ``x`` gives ``x``, so every coefficient is the fold's.
     ``spent`` lets the sum scale the first map in place instead of
-    copying it."""
-    terms, w = maps[0], weights[0]
-    if spent:
+    copying it.  A part may be a pending product ``(p, q)``
+    (:func:`_mul_terms`), whose ``w * (c1 * c2)`` for each nonzero
+    ``c1 * c2`` are the roundings of scaling the product's map."""
+    terms, w = parts[0], weights[0]
+    if type(terms) is tuple:
+        p, q = terms
+        terms = {m1 | m2: w * c for m1, c1 in p.items() for m2, c2 in q.items()
+                 if (c := c1 * c2)}
+    else:
+        if not spent:  # a copy keeps the stored hashes and needs no regrowth
+            terms = dict(terms)
         if w != 1.0:
             for m, x in terms.items():
                 terms[m] = w * x
-    else:
-        terms = dict(terms) if w == 1.0 else {m: w * x for m, x in terms.items()}
     get = terms.get
-    for more, w in zip(maps[1:], weights[1:]):
-        for m, x in more.items():
-            terms[m] = get(m, 0.0) + w * x
-    for m in [m for m, x in terms.items() if not x]:
-        del terms[m]
+    for part, w in zip(parts[1:], weights[1:]):
+        if type(part) is tuple:
+            p, q = part
+            for m1, c1 in p.items():
+                for m2, c2 in q.items():
+                    if c := c1 * c2:
+                        m = m1 | m2
+                        terms[m] = get(m, 0.0) + w * c
+        else:
+            for m, x in part.items():
+                terms[m] = get(m, 0.0) + w * x
+    return _drop_zeros(terms)
+
+
+def _drop_zeros(terms: dict[int, float]) -> dict[int, float]:
+    """``terms`` without its zero coefficients, deleted in place."""
+    if not all(terms.values()):
+        for m in [m for m, x in terms.items() if not x]:
+            del terms[m]
     return terms
 
 
@@ -347,7 +375,8 @@ class _Expander:
     the rest in order (:meth:`_product`); every sum adds into one term map
     (:func:`_sum_terms`).  :meth:`get` keeps each term map it expands,
     :meth:`degree_one` fills those of all degree-one nodes in one forward
-    pass, and :meth:`root` keeps only those some node still needs.  There
+    pass, and :meth:`root` keeps only those some node still needs, leaving
+    a product that only a sum reads as its last two factors.  There
     is one reverse pass (:meth:`adjoints`), whose derivatives are floats
     at the top node's degree and term maps below it.  The oracle, the partial
     derivatives and the reducer all read these; none makes a polynomial
@@ -405,47 +434,57 @@ class _Expander:
         """The root's term map by one walk over ``topo_order`` that drops a
         node's map from the memo once its last parent edge is used.  A sum
         whose first child is on its last use takes over that child's terms,
-        which no other node holds (:meth:`_product` always makes a new map)."""
+        which no other node holds (:meth:`_product` always makes a new map).
+        A lone product, whose one parent edge is a sum's, is left pending
+        for that sum, and only its use there counts its children's down:
+        no sum takes over a map that a pending product still reads."""
         c, memo = self.c, self.memo
         nodes = c.nodes
         uses = self._waiting(range(len(nodes)))
+        lone = {ch for node in nodes if isinstance(node, Sum) for ch in node.children
+                if uses[ch] == 1 and isinstance(nodes[ch], Product)}
         for u in c.topo_order:
             kids = nodes[u].children
-            memo[u] = self._value(u, bool(kids) and uses[kids[0]] == 1)
-            for ch in kids:
+            memo[u] = value = self._value(u, bool(kids) and uses[kids[0]] == 1, u in lone)
+            used = [] if type(value) is tuple else list(kids)
+            while used:
+                ch = used.pop()
                 uses[ch] -= 1
-                if not uses[ch]:
-                    del memo[ch]
+                if not uses[ch] and type(memo.pop(ch)) is tuple:
+                    used += nodes[ch].children
         return memo[c.root]
 
-    def _value(self, u: int, spent: bool = False) -> dict[int, float]:
+    def _value(self, u: int, spent: bool = False, pending: bool = False) -> dict[int, float] | tuple:
         """``u``'s term map from its children's, held to the cap: a result
         past it, a product that outgrows it, or one that is not
         multilinear, raises an error naming ``u``.  ``spent`` lets a sum
         take over its first child's terms (:meth:`root` drops that child
-        next)."""
+        next), ``pending`` a product leave its last multiply to its sum."""
         node, memo = self.c.nodes[u], self.memo
         if isinstance(node, Leaf):  # slot() inlined: leaves are most degree-one nodes
             return {1 << (2 * node.var + node.negated): 1.0}
         try:
             if isinstance(node, Sum):
                 terms = _sum_terms([memo[ch] for ch in node.children], node.weights, spent)
-            else:
-                terms = self._product([memo[ch] for ch in node.children])
+                if len(terms) > self.cap:
+                    terms = None
+            else:  # every multiply holds its result to the cap
+                terms = self._product([memo[ch] for ch in node.children], pending)
         except TermBudgetExceeded:
             terms = None
         except NotMultilinear as e:
             raise NotMultilinear(f"node {u}: {e}") from e
-        if terms is None or len(terms) > self.cap:
+        if terms is None:
             raise TermBudgetExceeded(f"node {u} expands past {self.cap} monomials")
         return terms
 
-    def _product(self, factors: list[dict[int, float]]) -> dict[int, float]:
+    def _product(self, factors: list[dict[int, float]], pending: bool = False) -> dict[int, float] | tuple:
         """Product of ``factors`` in their given order, except that each one
         that is a single monomial with coefficient exactly 1.0 (a leaf, say)
         is ORed into one mask first: multiplying by 1.0 is exact, so every
         coefficient is the left fold's, while a large factor is copied once
-        instead of once per leaf."""
+        instead of once per leaf.  With ``pending``, the last multiply may
+        be left to the sum that reads the product (:func:`_mul_terms`)."""
         mask, rest = 0, []
         for f in factors:
             if len(f) == 1:
@@ -458,8 +497,8 @@ class _Expander:
             rest.append(f)
         # never a given map: a lone other factor is multiplied by {mask: 1.0}
         p = rest.pop(0) if len(rest) > 1 and not mask else {mask: 1.0}
-        for f in rest:
-            p = _mul_terms(p, f, self.cap)
+        for i, f in enumerate(rest, 1):
+            p = _mul_terms(p, f, self.cap, pending and i == len(rest))
         return p
 
     def adjoints(self, u: int, floor: int) -> dict[int, float | dict[int, float]]:

@@ -167,6 +167,69 @@ def test_extract_polynomial_never_sums_into_a_polynomial_still_held():
         assert hex_terms(pt.node_polynomials(c)[c.root]) == hex_terms(want)
 
 
+def test_extract_polynomial_multiplies_lone_products_into_their_sums_bit_for_bit(monkeypatch):
+    # a lone product has one parent edge, from a sum, which multiplies the
+    # product's last two factors straight into its own terms
+    x0, nx0, x1, nx1, x2, nx2 = (Leaf(v, neg) for v in range(3) for neg in (False, True))
+    mix0, mix1 = Sum((0, 1), (0.3, 0.7)), Sum((2, 3), (0.6, 0.4))
+    tiny0, tiny1 = Sum((0, 1), (1e-200, 0.5)), Sum((2, 3), (1e-200, 0.5))
+    hazard = build_circuit(2, [x0, nx0, x1, nx1, mix0, mix1, Product((4, 5)),
+                               Sum((6,), (0.5,)), Sum((7,), (1.0,)), Sum((4,), (2.0,)),
+                               Product((9, 5)), Sum((8, 10), (0.25, 0.75))], 11)
+    # the walk meets product 6, then sum 9, whose first child is product 6's
+    # first factor, node 4, then product 6's parent, sum 7
+    order = hazard.topo_order
+    assert order.index(6) < order.index(9) < order.index(7)
+    circuits = [
+        # every factor a unit leaf
+        build_circuit(2, [x0, x1, Product((0, 1)), Sum((2,), (0.5,))], 3),
+        # one factor that is not a unit leaf
+        build_circuit(2, [x0, nx0, x1, mix0, Product((2, 3)), Sum((4,), (0.5,))], 5),
+        hazard,
+        # a sum that lists the product twice
+        build_circuit(2, [x0, nx0, x1, nx1, mix0, mix1, Product((4, 5)),
+                          Sum((6, 6), (0.25, 0.5))], 7),
+        # a product with two parents, a product and a sum
+        build_circuit(3, [x0, nx0, x1, nx1, x2, nx2, mix0, mix1, Sum((4, 5), (0.2, 0.8)),
+                          Sum((4, 5), (0.9, 0.1)), Product((6, 7)), Product((10, 8)),
+                          Sum((10,), (0.5,)), Product((12, 9)), Sum((11, 13), (0.5, 0.5))], 14),
+        # x0 * x1 underflows to 0.0
+        build_circuit(2, [x0, nx0, x1, nx1, tiny0, tiny1, Product((4, 5)),
+                          Sum((6,), (0.5,))], 7),
+        # the two products cancel: only Circuit() takes a negative weight
+        pt.Circuit(2, [x0, nx0, x1, nx1, mix0, mix1, Product((4, 5)), Product((4, 5)),
+                       Sum((6, 7), (1.0, -1.0))], 8),
+    ]
+    for c in circuits:
+        want = hex_terms(left_fold_polynomials(c)[c.root])
+        assert hex_terms(pt.extract_polynomial(c)) == want
+        assert hex_terms(pt.node_polynomials(c)[c.root]) == want
+    assert pt.extract_polynomial(circuits[-1]).terms == {}
+    # the last multiply repeats slot x0
+    c = build_circuit(2, [x0, nx0, x1, nx1, mix0, mix1, Sum((0, 1), (0.5, 0.5)),
+                          Product((4, 5, 6)), Sum((7,), (1.0,))], 8)
+    for expand in (pt.extract_polynomial, pt.node_polynomials):
+        with pytest.raises(NotMultilinear, match=r"^node 7: product would raise"):
+            expand(c)
+    # 2 * 2 monomial pairs are past the cap, but one product underflows
+    monkeypatch.setenv("PC_TERM_BUDGET", "3")
+    c = circuits[5]
+    p = pt.extract_polynomial(c)
+    assert len(p.terms) == 3
+    assert hex_terms(p) == hex_terms(left_fold_polynomials(c)[c.root])
+    assert hex_terms(p) == hex_terms(pt.node_polynomials(c)[c.root])
+    # four nonzero monomial products are past it: the product is named, not its sum
+    c = build_circuit(2, [x0, nx0, x1, nx1, mix0, mix1, Product((4, 5)), Sum((6,), (0.5,))], 7)
+    for expand in (pt.extract_polynomial, pt.node_polynomials):
+        with pytest.raises(TermBudgetExceeded, match=r"^node 6 expands past 3 monomials$"):
+            expand(c)
+    # a one-monomial product fits a cap of one
+    monkeypatch.setenv("PC_TERM_BUDGET", "1")
+    c = build_circuit(2, [x0, x1, Sum((0,), (0.5,)), Sum((1,), (0.25,)), Product((2, 3)),
+                          Sum((4,), (0.5,))], 5)
+    assert pt.extract_polynomial(c).terms == {mono((0, False), (1, False)): 0.0625}
+
+
 def test_extract_polynomial_peak_memory_stays_near_its_result():
     c = pt.random_valid_pc(pt.GenParams(n=16, seed=1, reuse_prob=0.5))
     tree, _ = pt.treeify(c, normalize_output=True)
@@ -177,8 +240,9 @@ def test_extract_polynomial_peak_memory_stays_near_its_result():
     finally:
         tracemalloc.stop()
     assert len(p.terms) == 2 ** 16
-    # keeping every node's polynomial until the end peaks at 3.5 times the result
-    assert peak <= 2.5 * result
+    # keeping every node's polynomial until the end peaks at 3.5 times the
+    # result, and building each product a sum reads at 2 times
+    assert peak <= 1.5 * result
 
 
 def test_non_multilinear_product_names_the_node():
