@@ -17,11 +17,10 @@ node term maps and one reverse pass for partial derivatives
 (:class:`_Expander`); a :class:`SparsePolynomial` wraps a map only at
 the public boundary.  :func:`extract_polynomial` keeps only what the
 root still needs: one walk over ``topo_order`` counts each node's parent
-edges and drops a node's term map once its last parent is built, a sum
-whose first child is on its last use scales that child's term map in
-place instead of copying it, and a product whose one parent edge comes
-from a sum never builds its map: the sum multiplies the product's last
-two factors straight into its own terms.  Every sum adds its further
+edges and drops a node's term map once its last parent is built, and a
+product whose one parent edge comes from a sum never builds its map: the
+sum multiplies the product's last two factors straight into its own
+terms.  Every sum copies its first child's map, adds its further
 children in place and drops zeros once, so the coefficients are the
 textbook left fold's, bit for bit.
 """
@@ -322,25 +321,22 @@ def _below(c: Circuit, v: int, floor: int) -> set[int]:
     return seen
 
 
-def _sum_terms(parts: list, weights: Sequence[float],
-               spent: bool = False) -> dict[int, float]:
+def _sum_terms(parts: list, weights: Sequence[float]) -> dict[int, float]:
     """The term map of ``sum(w * m for m, w in zip(parts, weights))``:
-    the first part scaled, then each further one added into it, with
-    zeros dropped once, at the end.  ``w * c`` and the textbook left
+    the first part scaled into a new map, then each further one added into
+    it, with zeros dropped once, at the end.  ``w * c`` and the textbook left
     fold's ``0.0 + w * c`` differ only in a zero's sign, and adding a zero
     to a nonzero ``x`` gives ``x``, so every coefficient is the fold's.
-    ``spent`` lets the sum scale the first map in place instead of
-    copying it.  A part may be a pending product ``(p, q)``
-    (:func:`_mul_terms`), whose ``w * (c1 * c2)`` for each nonzero
-    ``c1 * c2`` are the roundings of scaling the product's map."""
+    A part may be a pending product ``(p, q)`` (:func:`_mul_terms`), whose
+    ``w * (c1 * c2)`` for each nonzero ``c1 * c2`` are the roundings of
+    scaling the product's map."""
     terms, w = parts[0], weights[0]
-    if type(terms) is tuple:
+    if type(terms) is tuple:  # a comprehension: the shared loop's get() is slower
         p, q = terms
         terms = {m1 | m2: w * c for m1, c1 in p.items() for m2, c2 in q.items()
                  if (c := c1 * c2)}
-    else:
-        if not spent:  # a copy keeps the stored hashes and needs no regrowth
-            terms = dict(terms)
+    else:  # a copy keeps the stored hashes and needs no regrowth
+        terms = dict(terms)
         if w != 1.0:
             for m, x in terms.items():
                 terms[m] = w * x
@@ -432,40 +428,33 @@ class _Expander:
 
     def root(self) -> dict[int, float]:
         """The root's term map by one walk over ``topo_order`` that drops a
-        node's map from the memo once its last parent edge is used.  A sum
-        whose first child is on its last use takes over that child's terms,
-        which no other node holds (:meth:`_product` always makes a new map).
-        A lone product, whose one parent edge is a sum's, is left pending
-        for that sum, and only its use there counts its children's down:
-        no sum takes over a map that a pending product still reads."""
+        node's map from the memo once its last parent edge is used.  A lone
+        product, whose one parent edge is a sum's, is left pending for that
+        sum; the pair holds its own references to the maps it reads."""
         c, memo = self.c, self.memo
         nodes = c.nodes
         uses = self._waiting(range(len(nodes)))
         lone = {ch for node in nodes if isinstance(node, Sum) for ch in node.children
                 if uses[ch] == 1 and isinstance(nodes[ch], Product)}
         for u in c.topo_order:
-            kids = nodes[u].children
-            memo[u] = value = self._value(u, bool(kids) and uses[kids[0]] == 1, u in lone)
-            used = [] if type(value) is tuple else list(kids)
-            while used:
-                ch = used.pop()
+            memo[u] = self._value(u, u in lone)
+            for ch in nodes[u].children:
                 uses[ch] -= 1
-                if not uses[ch] and type(memo.pop(ch)) is tuple:
-                    used += nodes[ch].children
+                if not uses[ch]:
+                    del memo[ch]
         return memo[c.root]
 
-    def _value(self, u: int, spent: bool = False, pending: bool = False) -> dict[int, float] | tuple:
+    def _value(self, u: int, pending: bool = False) -> dict[int, float] | tuple:
         """``u``'s term map from its children's, held to the cap: a result
         past it, a product that outgrows it, or one that is not
-        multilinear, raises an error naming ``u``.  ``spent`` lets a sum
-        take over its first child's terms (:meth:`root` drops that child
-        next), ``pending`` a product leave its last multiply to its sum."""
+        multilinear, raises an error naming ``u``.  ``pending`` lets a
+        product leave its last multiply to its sum (:meth:`root`)."""
         node, memo = self.c.nodes[u], self.memo
         if isinstance(node, Leaf):  # slot() inlined: leaves are most degree-one nodes
             return {1 << (2 * node.var + node.negated): 1.0}
         try:
             if isinstance(node, Sum):
-                terms = _sum_terms([memo[ch] for ch in node.children], node.weights, spent)
+                terms = _sum_terms([memo[ch] for ch in node.children], node.weights)
                 if len(terms) > self.cap:
                     terms = None
             else:  # every multiply holds its result to the cap
