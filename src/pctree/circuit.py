@@ -11,8 +11,8 @@ slots gives probabilities, at all-ones marginalizes a variable out, and
 at arbitrary reals supports identity testing.
 
 Circuits are immutable once constructed.  Every analysis here is a pure
-pass over the stored topological order; the per-node tables (scopes,
-degrees, descendant and ancestor masks) and the plan that
+pass over the stored topological order; the per-node tables (degrees,
+descendant and ancestor masks) and the plan that
 :meth:`Circuit.evaluate` runs are built on first use and cached on the
 instance, while :meth:`validity` and :meth:`stats` recompute on every
 call.  The plan has one step per distinct subcircuit, grouped into runs
@@ -103,25 +103,16 @@ for _kind in (Leaf, Sum, Product):
 
 Node = Union[Leaf, Sum, Product]
 
-# evaluation plan run shapes: products and sums of two and of three
-# children, and of any other number (one-child sums join the n-ary sums)
-_PROD2, _PROD3, _PRODN, _SUM2, _SUM3, _SUMN = range(6)
+# evaluation plan run shapes: products of two children and of any other
+# number, sums of two, of three and of any other number (one-child sums
+# join the n-ary sums)
+_PROD2, _PRODN, _SUM2, _SUM3, _SUMN = range(5)
 
 
 def _require_count(name: str, value: object, least: int) -> None:
     """Raise :class:`ValueError` unless ``value`` is an int of at least ``least``."""
     if type(value) is not int or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 @dataclass(frozen=True)
@@ -251,29 +242,6 @@ class Circuit:
         return all(len(node.children) <= 2 for node in self.nodes)
 
     @cached_property
-    def _scope_masks(self) -> tuple[int, ...]:
-        nodes = self.nodes
-        masks = [0] * len(nodes)
-        for v in self.topo_order:
-            node = nodes[v]
-            kids = node.children
-            if len(kids) == 2:
-                a, b = kids
-                masks[v] = masks[a] | masks[b]
-            elif kids:
-                m = 0
-                for ch in kids:
-                    m |= masks[ch]
-                masks[v] = m
-            else:
-                masks[v] = 1 << node.var
-        return tuple(masks)
-
-    def scope(self, v: int) -> frozenset[int]:
-        """Variables whose indicators are reachable from ``v``."""
-        return frozenset(_bits(self._scope_masks[v]))
-
-    @cached_property
     def degrees(self) -> tuple[int, ...]:
         """Structural degree per node: 1 at leaves, sum over product
         children, max over sum children.  Equals the polynomial degree on
@@ -355,10 +323,10 @@ class Circuit:
                 a, b = kids
                 a, b = pos[a], pos[b]
                 key = (_PROD2, a, b) if isinstance(node, Product) else (_SUM2, a, b) + node.weights
-            elif len(kids) == 3:
+            elif len(kids) == 3 and isinstance(node, Sum):
                 a, b, c = kids
                 ops = (pos[a], pos[b], pos[c])
-                key = (_PROD3,) + ops if isinstance(node, Product) else (_SUM3,) + ops + node.weights
+                key = (_SUM3,) + ops + node.weights
             else:
                 ops = tuple([pos[ch] for ch in kids])
                 key = (_PRODN, ops) if isinstance(node, Product) else (_SUMN, ops, node.weights)
@@ -371,7 +339,7 @@ class Circuit:
                     h = max([height[o] for o in ops])
                 height.append(h + 1)
                 if h == len(runs):
-                    runs.append(([], [], [], [], [], []))
+                    runs.append(([], [], [], [], []))
                 runs[h][key[0]].append((p,) + key[1:])
         return (pos[self.root], len(planned),
                 [(shape, run) for by_shape in runs for shape, run in enumerate(by_shape) if run])
@@ -399,10 +367,6 @@ class Circuit:
                 # ``0.0 +`` as in sum(), which starts at 0: -0.0 terms total +0.0
                 for o, a, b, wa, wb in run:
                     vals[o] = 0.0 + wa * vals[a] + wb * vals[b]
-            elif shape == _PROD3:
-                # equals the running product: 1.0 * x is x
-                for o, a, b, c in run:
-                    vals[o] = vals[a] * vals[b] * vals[c]
             elif shape == _SUM3:
                 # sum() rounds 3+ terms differently from a left fold on 3.12+
                 for o, a, b, c, wa, wb, wc in run:
@@ -410,7 +374,7 @@ class Circuit:
             elif shape == _SUMN:
                 for o, kids, weights in run:
                     vals[o] = sum([w * vals[ch] for ch, w in zip(kids, weights)])
-            else:
+            else:  # the running product, 1.0 * x being x
                 for o, kids in run:
                     acc = 1.0
                     for ch in kids:
@@ -421,7 +385,8 @@ class Circuit:
     # -- analyses -------------------------------------------------------------
 
     def validity(self) -> ValidityReport:
-        """Compute all five structural flags in one topological pass.
+        """Compute all five structural flags in one topological pass, which
+        also builds each node's scope as a bitmask over variables.
 
         Homogeneity is decided structurally (all sum children share one
         structural degree, everywhere), which is exact for decomposable
@@ -430,13 +395,25 @@ class Circuit:
         """
         witnesses: dict[str, tuple[int, str]] = {}
         fail = witnesses.setdefault  # keeps each flag's first violation
-        nodes, scope, deg = self.nodes, self._scope_masks, self.degrees
+        nodes, deg = self.nodes, self.degrees
+        scope = [0] * len(nodes)  # per node, a bitmask of the variables below it
         nonnegative = (0.0).__le__  # False on NaN
         for v in self.topo_order:
             node = nodes[v]
             kids = node.children
             if not kids:
+                scope[v] = 1 << node.var
                 continue
+            if len(kids) == 2:  # most nodes; unpacked, not listed, for speed
+                a, b = kids
+                sa, sb = scope[a], scope[b]
+                scope[v], overlap = sa | sb, sa & sb
+            else:
+                union = overlap = 0
+                for ch in kids:
+                    overlap |= union & scope[ch]
+                    union |= scope[ch]
+                scope[v] = union
             if isinstance(node, Sum):
                 weights = node.weights
                 if not all(map(nonnegative, weights)):
@@ -445,8 +422,7 @@ class Circuit:
                 if not math.isclose(total, 1.0, rel_tol=REL_TOL):
                     fail("normalized", (v, f"outgoing weights total {total!r}"))
                 if len(kids) == 2:
-                    a, b = kids
-                    smooth, homogeneous = scope[a] == scope[b], deg[a] == deg[b]
+                    smooth, homogeneous = sa == sb, deg[a] == deg[b]
                 else:
                     smooth = len({scope[ch] for ch in kids}) == 1
                     homogeneous = len({deg[ch] for ch in kids}) == 1
@@ -454,16 +430,8 @@ class Circuit:
                     fail("smooth", (v, "children with different scopes"))
                 if not homogeneous:
                     fail("homogeneous", (v, "children with different structural degrees"))
-            elif len(kids) == 2:
-                a, b = kids
-                if scope[a] & scope[b]:
-                    fail("decomposable", (v, "children with overlapping scopes"))
-            else:
-                union = 0
-                for ch in kids:
-                    if union & scope[ch]:
-                        fail("decomposable", (v, "children with overlapping scopes"))
-                    union |= scope[ch]
+            elif overlap:
+                fail("decomposable", (v, "children with overlapping scopes"))
         return ValidityReport(**{flag: flag not in witnesses for flag in ValidityReport.FLAGS},
                               witnesses=witnesses)
 

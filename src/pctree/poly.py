@@ -33,7 +33,7 @@ import random
 from functools import cache
 from typing import Iterable, Sequence
 
-from .circuit import Circuit, Leaf, Product, Sum, _bits, _require_count, slot
+from .circuit import Circuit, Leaf, Product, Sum, _require_count, slot
 from .errors import (
     AssignmentLengthMismatch,
     KTooLarge,
@@ -172,6 +172,16 @@ def _slots(terms: dict[int, float]) -> int:
     for m in terms:
         used |= m
     return used
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def _mul_terms(p: dict[int, float], q: dict[int, float], max_terms: int | None = None,

@@ -9,6 +9,7 @@ code against these.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -205,7 +206,7 @@ def grow_nonsmooth_child(c: Circuit, rng) -> Circuit:
     sums = [v for v, node in enumerate(c.nodes)
             if isinstance(node, Sum) and c.degrees[v] >= 2]
     v = rng.choice(sums)
-    var = min(c.scope(v))
+    var = min(scope(c, v))
     nodes = list(c.nodes)
     nodes.append(Leaf(var))
     grown = nodes[v]
@@ -347,6 +348,17 @@ def reference_scopes_and_degrees(c: Circuit) -> tuple[list[int], list[int]]:
             child_degrees = (deg[ch] for ch in node.children)
             deg[v] = max(child_degrees) if isinstance(node, Sum) else sum(child_degrees)
     return scope, deg
+
+
+@functools.lru_cache(maxsize=4)  # circuits hash by identity; callers ask node by node
+def _scope_masks(c: Circuit) -> list[int]:
+    return reference_scopes_and_degrees(c)[0]
+
+
+def scope(c: Circuit, v: int) -> frozenset[int]:
+    """Variables whose indicators are reachable from ``v``."""
+    mask = _scope_masks(c)[v]
+    return frozenset(i for i in range(c.num_vars) if mask >> i & 1)
 
 
 def reference_validity(c: Circuit) -> ValidityReport:

@@ -7,6 +7,8 @@ from pctree import SparsePolynomial, build_circuit
 from pctree.circuit import Leaf, Product, Sum
 from pctree.errors import EmptyProductNode, KTooLarge
 
+from oracles import scope
+
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_hard_instance_shape(k):
@@ -67,7 +69,7 @@ def test_hard_instance_layout():
     assert [widths[cls] for cls in layers] == [16, 8, 4, 2, 1]
     assert (kind(c.nodes[c.root]), c.degrees[c.root]) == layers[4]
     first = c.nodes[next(v for v, node in enumerate(c.nodes) if isinstance(node, Product)
-                         and c.degrees[v] == 4 and 0 in c.scope(v))]
+                         and c.degrees[v] == 4 and 0 in scope(c, v))]
     assert {(c.nodes[ch].var, c.nodes[ch].negated) for ch in first.children} == \
         {(0, False), (1, False), (2, True), (3, True)}
 

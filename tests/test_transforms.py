@@ -27,6 +27,7 @@ from oracles import (
     layered_dag,
     left_fold_polynomials,
     reverse_pass_adjoints,
+    scope,
     substitute_atom_derivative,
     table_hash,
 )
@@ -204,7 +205,7 @@ def test_derivative_degree_and_variable_set(small_corpus):
                     continue
                 assert d.is_homogeneous()
                 assert d.degree == b.degrees[v] - b.degrees[w]
-                assert d.variables() <= b.scope(v) - b.scope(w)
+                assert d.variables() <= scope(b, v) - scope(b, w)
 
 
 def test_derivative_of_product_factors_through_heavy_child():
@@ -423,6 +424,22 @@ def test_an_underflowed_degree_one_value_is_the_zero_gate():
     assert want.terms == {0b101: 1.0}
     assert pt.extract_polynomial(pt.reduce_depth(c)) == want
     assert pt.extract_polynomial(pt.treeify(c)[0]) == want
+
+
+def test_affine_gate_takes_only_degree_one_terms():
+    """A degree-one gate is a sum over the leaves of its terms' slots, in
+    mask order; a constant or a degree-two term fails homogeneity, and the
+    error names the gate."""
+    from pctree.transforms import _Arena
+
+    arena = _Arena()
+    for terms in ({0: 1.0}, {0b11: 1.0}):
+        with pytest.raises(NotHomogeneous, match=r"gate \(node, wrt\) = \(5, 2\) has a term of degree"):
+            arena.affine_gate((5, 2), terms)
+    assert arena.affine_gate((5, 2), {}) == (None, 0.0)
+    assert arena.entries == []
+    assert arena.affine_gate((5, None), {0b1000: 0.25, 0b1: 0.75}) == (2, 1.0)
+    assert arena.entries == [Leaf(0), Leaf(1, True), Sum((0, 1), (0.75, 0.25))]
 
 
 def test_reduce_depth_deterministic():
@@ -956,7 +973,7 @@ def test_treeify_checks_its_input_once(small_corpus, monkeypatch):
             report = variant.validity()
             assert report.homogeneous == report.ok
             if report.ok:
-                assert all(d == len(variant.scope(v)) for v, d in enumerate(variant.degrees))
+                assert all(d == len(scope(variant, v)) for v, d in enumerate(variant.degrees))
     calls = []
     validity = Circuit.validity
     monkeypatch.setattr(Circuit, "validity", lambda self: calls.append(self) or validity(self))
